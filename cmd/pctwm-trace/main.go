@@ -40,7 +40,6 @@ func main() {
 		seed     = flag.Int64("s", 1, "base random seed")
 		rounds   = flag.Int("rounds", 2000, "maximum rounds to search for a failing execution")
 		dot      = flag.Bool("dot", false, "emit Graphviz DOT instead of text")
-		baton    = flag.Bool("engine.baton", false, "use the legacy baton scheduler (escape hatch; identical schedules)")
 		model    = flag.String("engine.model", engine.ModelRC11, "memory model backend: rc11, sc, tso (the recheck verifies the same model's axioms)")
 		perfOut  = flag.String("perfetto", "", "also write the failing schedule as Chrome trace-event JSON to this file")
 	)
@@ -58,7 +57,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pctwm-trace:", err)
 		os.Exit(2)
 	}
-	opts.Baton = *baton
 	opts.Model = *model
 	d := *depth
 	if d < 0 {

@@ -72,8 +72,7 @@ func (k RunErrorKind) String() string {
 
 // RunError is the structured form of an abnormal execution ending,
 // surfaced as Outcome.Err. It complements the BugHit / Deadlocked /
-// Aborted booleans with machine-readable details, and is produced
-// identically by the direct-handoff and the legacy baton scheduler.
+// Aborted booleans with machine-readable details.
 type RunError struct {
 	Kind RunErrorKind
 	// TID is the thread the error is attributed to (the panicking thread
@@ -164,7 +163,9 @@ func (o *Outcome) Abnormal() bool { return o.Err != nil }
 // Options configure one execution. The zero value gives the documented
 // defaults; Options is JSON-serializable (repro bundles embed it) —
 // non-serializable fields carry `json:"-"` and must be re-attached after
-// decoding.
+// decoding. Decoding ignores unknown keys, so bundles that still carry
+// since-removed fields (such as the old scheduler selector) replay as if
+// the field were absent.
 type Options struct {
 	// Model selects the memory-model backend: "rc11" (default — the
 	// paper's C11 view machine), "sc" (sequential consistency, the
@@ -222,14 +223,6 @@ type Options struct {
 	// nil Telemetry costs exactly one predictable branch per hook and
 	// allocates nothing.
 	Telemetry *telemetry.EngineCounters `json:"-"`
-	// Baton selects the legacy channel-select baton scheduler instead of
-	// the default direct-handoff scheduler. Both produce bit-identical
-	// schedules and outcomes for the same seed; the legacy path is kept
-	// for one release as an escape hatch (cmd flag -engine.baton) and as
-	// the reference implementation for the trace-equivalence tests. It
-	// costs roughly 2× per event (two channel selects plus per-run
-	// goroutine creation on the hot path).
-	Baton bool
 }
 
 func (o Options) withDefaults() Options {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"strings"
@@ -209,31 +210,36 @@ func (s *blockingStrategy) OnSpin(memmodel.ThreadID)             {}
 // TestCampaignStuckWatchdog: a worker wedged inside a trial trips the
 // campaign watchdog — the campaign returns a partial result marked Stuck
 // with diagnostics naming the wedged worker, instead of hanging forever.
+// The watchdog covers every worker count, a single worker included.
 func TestCampaignStuckWatchdog(t *testing.T) {
-	b, _ := benchprog.ByName("dekker")
-	prog := b.Program(0)
-	gate := make(chan struct{})
-	defer close(gate) // release the leaked worker after the test
-	var tookBlocker atomic.Bool
-	newStrategy := func() engine.Strategy {
-		if tookBlocker.CompareAndSwap(false, true) {
-			return &blockingStrategy{gate: gate}
-		}
-		return core.NewRandom()
-	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			b, _ := benchprog.ByName("dekker")
+			prog := b.Program(0)
+			gate := make(chan struct{})
+			defer close(gate) // release the leaked worker after the test
+			var tookBlocker atomic.Bool
+			newStrategy := func() engine.Strategy {
+				if tookBlocker.CompareAndSwap(false, true) {
+					return &blockingStrategy{gate: gate}
+				}
+				return core.NewRandom()
+			}
 
-	start := time.Now()
-	res := RunCampaign(prog, b.Detect, newStrategy, 500, 1, b.Options(),
-		Campaign{Workers: 2, StuckTimeout: 120 * time.Millisecond})
-	elapsed := time.Since(start)
-	if !res.Stuck {
-		t.Fatalf("watchdog did not flag the wedged worker: %+v", res)
-	}
-	if !strings.Contains(res.StuckDiag, "stuck workers") || !strings.Contains(res.StuckDiag, "goroutine") {
-		t.Fatalf("diagnostics missing worker/goroutine details:\n%s", res.StuckDiag)
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("stuck campaign took %v to give up", elapsed)
+			start := time.Now()
+			res := RunCampaign(prog, b.Detect, newStrategy, 500, 1, b.Options(),
+				Campaign{Workers: workers, StuckTimeout: 120 * time.Millisecond})
+			elapsed := time.Since(start)
+			if !res.Stuck {
+				t.Fatalf("watchdog did not flag the wedged worker: %+v", res)
+			}
+			if !strings.Contains(res.StuckDiag, "stuck workers") || !strings.Contains(res.StuckDiag, "goroutine") {
+				t.Fatalf("diagnostics missing worker/goroutine details:\n%s", res.StuckDiag)
+			}
+			if elapsed > 10*time.Second {
+				t.Fatalf("stuck campaign took %v to give up", elapsed)
+			}
+		})
 	}
 }
 

@@ -233,43 +233,6 @@ func (st *campaignState) restore(cum *TrialResult) {
 	cum.ResumedRuns = st.NextTrial
 }
 
-// mergeCheckpointChunk folds one chunk's result into the cumulative
-// campaign result. Counter merging matches mergeTrialResults; failures
-// append (the repro budget is enforced globally by the chunk loop) and
-// telemetry merges commutatively, so the cumulative totals equal an
-// uninterrupted run's at any chunking and worker count.
-func mergeCheckpointChunk(cum *TrialResult, chunk TrialResult) {
-	mergeTrialResults(cum, chunk)
-	cum.Wall += chunk.Wall
-	cum.Stuck = cum.Stuck || chunk.Stuck
-	if chunk.StuckDiag != "" {
-		cum.StuckDiag = chunk.StuckDiag
-	}
-	cum.Failures = append(cum.Failures, chunk.Failures...)
-	cum.Nondeterministic += chunk.Nondeterministic
-	if chunk.Telemetry != nil {
-		if cum.Telemetry == nil {
-			cum.Telemetry = &telemetry.EngineCounters{}
-		}
-		keepCPs := cum.Telemetry.ChangePoints
-		cum.Telemetry.Merge(chunk.Telemetry)
-		if len(keepCPs) == 0 && len(chunk.Telemetry.ChangePoints) > 0 {
-			cum.Telemetry.ChangePoints = append([]telemetry.ChangePoint(nil), chunk.Telemetry.ChangePoints...)
-		} else {
-			cum.Telemetry.ChangePoints = keepCPs
-		}
-	}
-	if chunk.Coverage != nil {
-		if cum.Coverage == nil {
-			cum.Coverage = &coverage.Set{}
-		}
-		// Chunk trial indices are already campaign-global (the loop sets
-		// Campaign.trialBase per chunk), so the merge is the same
-		// order-insensitive fold the parallel workers use.
-		cum.Coverage.Merge(chunk.Coverage)
-	}
-}
-
 // runCheckpointedCampaign is RunCampaign's durable mode: the rounds run
 // in chunks of spec.every() through the ordinary pool, and the
 // cumulative state is checkpointed at every chunk boundary.
@@ -377,7 +340,7 @@ func runCheckpointedCampaign(prog *engine.Program, detect func(*engine.Outcome) 
 			}
 		}
 		chunk := runCampaignBatch(prog, detect, newStrategy, n, seed+int64(at), opts, inner)
-		mergeCheckpointChunk(&cum, chunk)
+		mergeTrialResults(&cum, chunk)
 		if chunk.Interrupted || chunk.Stuck {
 			break
 		}

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,12 +39,12 @@ func ResolveWorkers(workers, runs int) int {
 // Campaign configures the resilience layer of a trial batch: worker
 // count, cooperative cancellation, the campaign-level stuck-worker
 // watchdog, and the repro-bundle sink with its flake triage. The zero
-// value reproduces the plain RunTrialsPooled behaviour (serial, no
-// watchdogs, no bundles) with zero hot-path overhead.
+// value runs a plain campaign on GOMAXPROCS workers (no watchdogs, no
+// bundles) with zero hot-path overhead.
 type Campaign struct {
 	// Workers spreads the rounds over this many goroutines (0 =
-	// GOMAXPROCS, 1 = serial). Hit counts and event totals are identical
-	// for every worker count.
+	// GOMAXPROCS). Hit counts and event totals are identical for every
+	// worker count.
 	Workers int
 	// Context cancels the campaign cooperatively: workers stop claiming
 	// new rounds, and the in-flight run of every worker is aborted by the
@@ -96,7 +97,7 @@ type Campaign struct {
 	EmbedPerfetto bool
 	// Model, when non-empty, overrides the memory-model backend for
 	// campaigns that build their own engine.Options from a benchmark
-	// registry (BenchTrialsCampaign and friends). Callers that pass
+	// registry (BenchTrials, BestOverH). Callers that pass
 	// explicit Options set Options.Model directly instead.
 	Model string
 	// Checkpoint, when non-nil with a Dir, arms the durable
@@ -155,25 +156,22 @@ type TrialFailure struct {
 	BundlePath string
 }
 
-// RunTrialsPooled is the streaming trial loop behind RunTrials and the
-// -workers flags: runs rounds are claimed from a shared atomic counter by
-// `workers` goroutines, each owning one pooled engine.Runner and one
-// strategy value from newStrategy (Strategy.Begin resets per round).
-// Aggregation is lock-free: every worker fills its own TrialResult, merged
-// once after the pool drains.
+// RunCampaign is the trial loop: it executes prog for runs rounds,
+// counting rounds whose outcome detect() flags as a bug hit. The rounds
+// are claimed from a shared atomic counter by Campaign.Workers goroutines,
+// each owning one pooled engine.Runner and one strategy value from
+// newStrategy (Strategy.Begin resets per round). Aggregation is
+// lock-free: every worker fills its own TrialResult, merged once after
+// the pool drains.
 //
 // Round i always runs with seed+i, independent of which worker claims it,
 // so hit counts and event totals are identical for every worker count —
 // only Wall changes. Elapsed sums per-run execution time across workers
 // (aggregate CPU time); Wall is the batch's wall-clock duration.
-func RunTrialsPooled(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, workers int) TrialResult {
-	return RunCampaign(prog, detect, newStrategy, runs, seed, opts, Campaign{Workers: workers})
-}
-
-// RunCampaign is RunTrialsPooled with the full resilience layer: panic
-// quarantine, cooperative cancellation, per-trial and campaign-level
-// watchdogs, and the repro sink. See Campaign for the knobs.
+//
+// The resilience layer — panic quarantine, cooperative cancellation,
+// per-trial and campaign-level watchdogs, and the repro sink — applies at
+// every worker count. See Campaign for the knobs.
 //
 // Panic quarantine: a panic that escapes engine.Runner.Run (a buggy
 // strategy, a harness bug) is recovered at the trial boundary, counted in
@@ -266,25 +264,6 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 	}
 
 	start := time.Now()
-	if workers == 1 {
-		var tel *telemetry.EngineCounters
-		if collect {
-			tel = &telemetry.EngineCounters{}
-		}
-		var cov *coverage.Set
-		if camp.Coverage {
-			cov = &coverage.Set{}
-		}
-		strat := newStrategy()
-		labeledWorker(ctx, 0, strat.Name(), progName, func() {
-			res = runWorker(prog, detect, strat, newStrategy, runs, seed, opts, nil, ctx, sink, nil, tel, camp.Metrics, cov, camp.trialBase)
-		})
-		finishTelemetry(&res, []*telemetry.EngineCounters{tel}, nil, telBase, camp.Metrics)
-		finishCoverage(&res, []*coverage.Set{cov}, nil)
-		finishCampaign(&res, sink, start, camp.Metrics)
-		return res
-	}
-
 	var (
 		next   atomic.Int64
 		wg     sync.WaitGroup
@@ -346,7 +325,7 @@ func finishCoverage(res *TrialResult, covs []*coverage.Set, states []*workerStat
 		if c == nil {
 			continue
 		}
-		if states != nil && !states[w].done.Load() {
+		if !states[w].done.Load() {
 			continue
 		}
 		any = true
@@ -383,7 +362,7 @@ func finishTelemetry(res *TrialResult, shards []*telemetry.EngineCounters, state
 		if s == nil {
 			continue
 		}
-		if states != nil && !states[w].done.Load() {
+		if !states[w].done.Load() {
 			continue
 		}
 		any = true
@@ -428,19 +407,52 @@ func finishCampaign(res *TrialResult, sink *reproSink, start time.Time, m *telem
 	}
 }
 
-// mergeTrialResults accumulates a worker's local result into the merged
-// campaign result.
-func mergeTrialResults(res *TrialResult, l TrialResult) {
-	res.Runs += l.Runs
-	res.Hits += l.Hits
-	res.Aborted += l.Aborted
-	res.Deadlock += l.Deadlock
-	res.Panics += l.Panics
-	res.Timeouts += l.Timeouts
-	res.Canceled += l.Canceled
-	res.TotalEvents += l.TotalEvents
-	res.Elapsed += l.Elapsed
-	res.Interrupted = res.Interrupted || l.Interrupted
+// mergeTrialResults folds a partial result — a worker's local result or
+// a checkpoint chunk's — into the cumulative campaign result. Counters
+// add, failures append (the repro budget is enforced globally by the
+// checkpoint loop) and telemetry and coverage merge commutatively, so the totals
+// equal an uninterrupted single-batch run's at any chunking and worker
+// count. A worker's local result carries no Wall, Failures, Telemetry or
+// Coverage; those fields only arrive with checkpoint chunks.
+func mergeTrialResults(cum *TrialResult, r TrialResult) {
+	cum.Runs += r.Runs
+	cum.Hits += r.Hits
+	cum.Aborted += r.Aborted
+	cum.Deadlock += r.Deadlock
+	cum.Panics += r.Panics
+	cum.Timeouts += r.Timeouts
+	cum.Canceled += r.Canceled
+	cum.TotalEvents += r.TotalEvents
+	cum.Elapsed += r.Elapsed
+	cum.Interrupted = cum.Interrupted || r.Interrupted
+	cum.Wall += r.Wall
+	cum.Stuck = cum.Stuck || r.Stuck
+	if r.StuckDiag != "" {
+		cum.StuckDiag = r.StuckDiag
+	}
+	cum.Failures = append(cum.Failures, r.Failures...)
+	cum.Nondeterministic += r.Nondeterministic
+	if r.Telemetry != nil {
+		if cum.Telemetry == nil {
+			cum.Telemetry = &telemetry.EngineCounters{}
+		}
+		keepCPs := cum.Telemetry.ChangePoints
+		cum.Telemetry.Merge(r.Telemetry)
+		if len(keepCPs) == 0 && len(r.Telemetry.ChangePoints) > 0 {
+			cum.Telemetry.ChangePoints = append([]telemetry.ChangePoint(nil), r.Telemetry.ChangePoints...)
+		} else {
+			cum.Telemetry.ChangePoints = keepCPs
+		}
+	}
+	if r.Coverage != nil {
+		if cum.Coverage == nil {
+			cum.Coverage = &coverage.Set{}
+		}
+		// Chunk trial indices are already campaign-global (the checkpoint
+		// loop sets Campaign.trialBase per chunk), so the merge is the same
+		// order-insensitive fold the workers' shards use.
+		cum.Coverage.Merge(r.Coverage)
+	}
 }
 
 // workerState is the heartbeat a worker publishes for the campaign
@@ -502,21 +514,10 @@ func watchCampaign(done chan struct{}, states []*workerState, stuckAfter time.Du
 			buf := make([]byte, 16<<10)
 			buf = buf[:runtime.Stack(buf, true)]
 			diag := fmt.Sprintf("campaign watchdog: stuck workers after %v: %s\ngoroutine dump (truncated):\n%s",
-				stuckAfter, joinStrings(wedged, "; "), buf)
+				stuckAfter, strings.Join(wedged, "; "), buf)
 			return true, diag
 		}
 	}
-}
-
-func joinStrings(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
 }
 
 // panicInfo captures a panic that escaped the engine during one trial.
@@ -549,14 +550,14 @@ func closeQuarantined(r *engine.Runner) {
 	}()
 }
 
-// runWorker drains trial indices — sequentially when next is nil, from the
-// shared counter otherwise — on one pooled Runner, applying the per-trial
-// resilience protocol: heartbeat, cancellation check, panic quarantine,
-// outcome classification, failure capture, and (when armed) telemetry:
-// tel is this worker's private engine-counter shard, metrics the shared
-// campaign hub (atomics, touched once per trial). strat is the worker's
-// already-created strategy (its Name labels the worker's pprof context);
-// newStrategy only mints quarantine replacements.
+// runWorker drains trial indices from the shared counter next on one
+// pooled Runner, applying the per-trial resilience protocol: heartbeat,
+// cancellation check, panic quarantine, outcome classification, failure
+// capture, and (when armed) telemetry: tel is this worker's private
+// engine-counter shard, metrics the shared campaign hub (atomics, touched
+// once per trial). strat is the worker's already-created strategy (its
+// Name labels the worker's pprof context); newStrategy only mints
+// quarantine replacements.
 func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	strat engine.Strategy, newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options,
 	next *atomic.Int64, ctx context.Context, sink *reproSink, ws *workerState,
@@ -569,10 +570,8 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	}
 	r := engine.NewRunner(prog, opts)
 	defer func() { r.Close() }()
-	for i := 0; ; i++ {
-		if next != nil {
-			i = int(next.Add(1)) - 1
-		}
+	for {
+		i := int(next.Add(1)) - 1
 		if i >= runs {
 			break
 		}
@@ -581,10 +580,8 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			break
 		}
 		s := seed + int64(i)
-		if ws != nil {
-			ws.seed.Store(s)
-			ws.beat.Store(time.Now().UnixNano())
-		}
+		ws.seed.Store(s)
+		ws.beat.Store(time.Now().UnixNano())
 		var cpBefore uint64
 		if tel != nil {
 			cpBefore = tel.ChangePointDepth.Count
@@ -663,9 +660,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			}
 		}
 	}
-	if ws != nil {
-		ws.beat.Store(time.Now().UnixNano())
-	}
+	ws.beat.Store(time.Now().UnixNano())
 	return local
 }
 
@@ -833,7 +828,7 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 			fail.Triage = replay.TriageDeterministic
 		} else {
 			fail.Triage = replay.TriageNondeterministic
-			fail.Msg += " [rerun diverged: " + joinStrings(diffs, ", ") + "]"
+			fail.Msg += " [rerun diverged: " + strings.Join(diffs, ", ") + "]"
 		}
 	}
 	bundle.Triage = fail.Triage
@@ -858,13 +853,4 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 		fail.BundlePath = path
 	}
 	return fail
-}
-
-// RunTrialsParallel is RunTrialsPooled under its historical name; workers
-// ≤ 0 selects GOMAXPROCS.
-//
-// Deprecated: use RunTrialsPooled (same behavior) or RunTrials (serial).
-func RunTrialsParallel(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, workers int) TrialResult {
-	return RunTrialsPooled(prog, detect, newStrategy, runs, seed, opts, workers)
 }

@@ -8,45 +8,13 @@ import (
 	"pctwm/internal/engine"
 )
 
-// TestParallelMatchesSerial: the parallel runner visits the same seeds and
-// therefore produces identical hit counts.
-func TestParallelMatchesSerial(t *testing.T) {
-	b, err := benchprog.ByName("rwlock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := b.Program(0)
-	opts := b.Options()
-	newStrategy := func() engine.Strategy { return core.NewPCTWM(2, 1, 10) }
-
-	serial := RunTrials(prog, b.Detect, newStrategy, 300, 7, opts)
-	parallel := RunTrialsParallel(prog, b.Detect, newStrategy, 300, 7, opts, 4)
-	if serial.Hits != parallel.Hits || serial.Runs != parallel.Runs {
-		t.Fatalf("parallel %d/%d != serial %d/%d",
-			parallel.Hits, parallel.Runs, serial.Hits, serial.Runs)
-	}
-	if serial.TotalEvents != parallel.TotalEvents {
-		t.Fatalf("event totals differ: %d vs %d", parallel.TotalEvents, serial.TotalEvents)
-	}
-}
-
-// TestParallelSingleWorkerFallback: degenerate worker counts fall back to
-// the serial path.
-func TestParallelSingleWorkerFallback(t *testing.T) {
-	b, _ := benchprog.ByName("dekker")
-	prog := b.Program(0)
-	res := RunTrialsParallel(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
-		10, 1, b.Options(), 1)
-	if res.Runs != 10 {
-		t.Fatalf("runs %d", res.Runs)
-	}
-}
-
 // TestPooledWorkerCountsAgree: every worker count visits the same seeds,
-// so the aggregate counters are identical; this test doubles as the
-// `go test -race` exercise of the streaming pool on two structurally
-// different benchmark programs.
+// so the aggregate counters are identical to the one-worker reference —
+// including worker counts above the number of runs, which ResolveWorkers
+// caps. This test doubles as the `go test -race` exercise of the
+// streaming pool on two structurally different benchmark programs.
 func TestPooledWorkerCountsAgree(t *testing.T) {
+	const runs = 120
 	for _, name := range []string{"rwlock", "msqueue"} {
 		t.Run(name, func(t *testing.T) {
 			b, err := benchprog.ByName(name)
@@ -57,12 +25,15 @@ func TestPooledWorkerCountsAgree(t *testing.T) {
 			opts := b.Options()
 			newStrategy := func() engine.Strategy { return core.NewPCTWM(2, 1, 25) }
 
-			ref := RunTrialsPooled(prog, b.Detect, newStrategy, 120, 11, opts, 1)
-			for _, workers := range []int{2, 3, 8, 0} {
-				got := RunTrialsPooled(prog, b.Detect, newStrategy, 120, 11, opts, workers)
-				if got.Hits != ref.Hits || got.TotalEvents != ref.TotalEvents ||
+			ref := RunCampaign(prog, b.Detect, newStrategy, runs, 11, opts, Campaign{Workers: 1})
+			if ref.Runs != runs {
+				t.Fatalf("one worker ran %d/%d rounds", ref.Runs, runs)
+			}
+			for _, workers := range []int{2, 3, 4, 8, 0, 2 * runs} {
+				got := RunCampaign(prog, b.Detect, newStrategy, runs, 11, opts, Campaign{Workers: workers})
+				if got.Runs != ref.Runs || got.Hits != ref.Hits || got.TotalEvents != ref.TotalEvents ||
 					got.Aborted != ref.Aborted || got.Deadlock != ref.Deadlock {
-					t.Fatalf("workers=%d diverges from serial: %+v vs %+v", workers, got, ref)
+					t.Fatalf("workers=%d diverges from one worker: %+v vs %+v", workers, got, ref)
 				}
 			}
 		})
@@ -73,8 +44,8 @@ func TestPooledWorkerCountsAgree(t *testing.T) {
 func TestTrialResultWall(t *testing.T) {
 	b, _ := benchprog.ByName("dekker")
 	prog := b.Program(0)
-	res := RunTrials(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
-		50, 1, b.Options())
+	res := RunCampaign(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
+		50, 1, b.Options(), Campaign{Workers: 1})
 	if res.Wall <= 0 {
 		t.Fatalf("wall time not measured: %+v", res)
 	}
@@ -82,6 +53,6 @@ func TestTrialResultWall(t *testing.T) {
 		t.Fatalf("per-run time not summed: %+v", res)
 	}
 	if res.Wall < res.Elapsed/2 {
-		t.Fatalf("serial wall %v implausibly below summed run time %v", res.Wall, res.Elapsed)
+		t.Fatalf("one-worker wall %v implausibly below summed run time %v", res.Wall, res.Elapsed)
 	}
 }

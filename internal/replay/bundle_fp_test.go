@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -33,7 +34,9 @@ func fpBundle(t *testing.T) *Bundle {
 
 // TestBundleBehaviorFPRoundTrip: a version-3 bundle preserves the
 // behavior fingerprint through encode/decode, and Verify replays it with
-// a matching fingerprint.
+// a matching fingerprint. Bundles written while the engine still had the
+// legacy scheduler selector carry a "Baton" key in their options; such a
+// bundle must decode and replay bit-identically on the one scheduler.
 func TestBundleBehaviorFPRoundTrip(t *testing.T) {
 	b := fpBundle(t)
 	data, err := b.Encode()
@@ -43,19 +46,39 @@ func TestBundleBehaviorFPRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), `"version": 3`) && !strings.Contains(string(data), `"version":3`) {
 		t.Fatalf("encoded bundle is not version 3:\n%s", data)
 	}
-	back, err := DecodeBundle(data)
+	// Splice the key in through raw messages: a generic decode would
+	// round the 64-bit fingerprint through float64.
+	var doc, opts map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["options"], &opts); err != nil {
+		t.Fatal(err)
+	}
+	opts["Baton"] = json.RawMessage("true")
+	if doc["options"], err = json.Marshal(opts); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.BehaviorFP != b.BehaviorFP {
-		t.Fatalf("round trip lost the fingerprint: %#x vs %#x", back.BehaviorFP, b.BehaviorFP)
-	}
-	res, err := back.Verify(lostUpdateProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Match {
-		t.Fatalf("replay diverged: derails=%d diffs=%v", res.Derails, res.Diffs)
+
+	for name, in := range map[string][]byte{"current": data, "legacy-key": legacy} {
+		back, err := DecodeBundle(in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if back.BehaviorFP != b.BehaviorFP {
+			t.Fatalf("%s: round trip lost the fingerprint: %#x vs %#x", name, back.BehaviorFP, b.BehaviorFP)
+		}
+		res, err := back.Verify(lostUpdateProgram())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Match {
+			t.Fatalf("%s: replay diverged: derails=%d diffs=%v", name, res.Derails, res.Diffs)
+		}
 	}
 }
 
