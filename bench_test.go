@@ -115,7 +115,7 @@ func BenchmarkEnginePCTWM(b *testing.B) {
 // the Runner refactor optimizes: one pooled Runner, one strategy value
 // (Begin resets per run), a new seed each round. Compare against
 // BenchmarkEnginePCTWM (one-shot engine.Run per trial) for the pooling
-// win; historical BENCH_engine.json records both.
+// win.
 func BenchmarkTrialLoop(b *testing.B) {
 	bench, err := benchprog.ByName("rwlock")
 	if err != nil {
@@ -125,6 +125,7 @@ func BenchmarkTrialLoop(b *testing.B) {
 	opts := bench.Options()
 	est := harness.EstimateParams(prog, 5, 1, opts)
 	r := engine.NewRunner(prog, opts)
+	defer r.Close()
 	strat := core.NewPCTWM(2, 1, est.KCom)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,6 +146,7 @@ func BenchmarkRunnerReuse(b *testing.B) {
 	opts := bench.Options()
 	est := harness.EstimateParams(prog, 5, 1, opts)
 	r := engine.NewRunner(prog, opts)
+	defer r.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -154,8 +156,9 @@ func BenchmarkRunnerReuse(b *testing.B) {
 
 // Exhaustive-exploration throughput. One iteration enumerates the full
 // reachable outcome space of the litmus suite — the workload behind the
-// conformance tests and the CI models job. The serial/parallel pair is
-// what `pctwm-bench -explore` snapshots into BENCH_engine.json.
+// conformance tests and the CI models job. perfbench's explore workload
+// times this census under each model; TestExploreAllocCeiling bounds its
+// serial allocations.
 
 func exploreSuite(b *testing.B, workers int) {
 	targets := litmus.Suite()

@@ -46,10 +46,12 @@ func TestRunnerSeedDeterminism(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				r := engine.NewRunner(prog, opts)
 				fresh[seed] = stripTiming(r.Run(core.NewPCTWM(3, 2, 40), int64(seed)))
+				r.Close()
 			}
 
 			// One Runner and one strategy value reused across every seed.
 			reused := engine.NewRunner(prog, opts)
+			defer reused.Close()
 			strat := core.NewPCTWM(3, 2, 40)
 			for seed := 0; seed < seeds; seed++ {
 				got := stripTiming(reused.Run(strat, int64(seed)))
@@ -83,6 +85,7 @@ func TestRunnerMatchesOneShotRun(t *testing.T) {
 	opts.Record = true
 
 	r := engine.NewRunner(prog, opts)
+	defer r.Close()
 	for seed := int64(0); seed < 10; seed++ {
 		oneShot := stripTiming(engine.Run(prog, core.NewPCTWM(3, 2, 40), seed, opts))
 		pooled := stripTiming(r.Run(core.NewPCTWM(3, 2, 40), seed))
@@ -106,6 +109,7 @@ func TestRunnerOutcomeSurvivesReuse(t *testing.T) {
 	opts.DetectRaces = true
 
 	r := engine.NewRunner(prog, opts)
+	defer r.Close()
 	strat := core.NewPCTWM(3, 2, 40)
 	first := r.Run(strat, 1)
 	snapshot := deepCopyOutcome(stripTiming(first))

@@ -191,28 +191,32 @@ func TestCoverageReproDedupe(t *testing.T) {
 // to the steady-state trial loop — the accumulator's scratch is owned by
 // the Runner and reused across runs.
 func TestCoverageZeroAlloc(t *testing.T) {
-	b := mustBench(t, "dekker")
-	prog := b.Program(0)
+	for _, name := range []string{"dekker", "msqueue", "seqlock"} {
+		t.Run(name, func(t *testing.T) {
+			b := mustBench(t, name)
+			prog := b.Program(0)
 
-	measure := func(cov bool) float64 {
-		opts := b.Options()
-		opts.Coverage = cov
-		r := engine.NewRunner(prog, opts)
-		defer r.Close()
-		strat := core.NewRandom()
-		for i := 0; i < 20; i++ {
-			r.Run(strat, int64(i))
-		}
-		seed := int64(0)
-		return testing.AllocsPerRun(300, func() {
-			r.Run(strat, seed)
-			seed++
+			measure := func(cov bool) float64 {
+				opts := b.Options()
+				opts.Coverage = cov
+				r := engine.NewRunner(prog, opts)
+				defer r.Close()
+				strat := core.NewRandom()
+				for i := 0; i < 20; i++ {
+					r.Run(strat, int64(i))
+				}
+				seed := int64(0)
+				return testing.AllocsPerRun(300, func() {
+					r.Run(strat, seed)
+					seed++
+				})
+			}
+
+			off := measure(false)
+			on := measure(true)
+			if delta := on - off; delta > 0.5 {
+				t.Fatalf("coverage adds %.2f allocs/run (off %.2f, on %.2f), want 0", delta, off, on)
+			}
 		})
-	}
-
-	off := measure(false)
-	on := measure(true)
-	if delta := on - off; delta > 0.5 {
-		t.Fatalf("coverage adds %.2f allocs/run (off %.2f, on %.2f), want 0", delta, off, on)
 	}
 }

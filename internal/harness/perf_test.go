@@ -1,145 +1,100 @@
 package harness
 
 import (
-	"math"
 	"testing"
 
-	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
+	"pctwm/internal/engine"
+	"pctwm/internal/enumerate"
+	"pctwm/internal/litmus"
 )
 
-func snap(bench, strat string, nsPerEvent float64) EngineSnapshot {
-	return EngineSnapshot{Benchmark: bench, Strategy: strat, NsPerEvent: nsPerEvent}
-}
+// Allocation ceilings for the steady-state trial loop and the serial
+// litmus-suite exploration. Allocation counts do not depend on the host,
+// so unlike wall-clock cost they can be gated in a unit test. Each
+// ceiling is the larger of 1.25× and +0.5 over the allocs_per_run that
+// the retired `pctwm-bench -json` engine snapshot recorded for the cell:
+// the point at which its 25 % allocation gate (with half an allocation
+// of absolute slack) fired.
+const (
+	dekkerRandomAllocCeiling  = 2.03  // recorded 1.53
+	dekkerPCTWMAllocCeiling   = 2.5   // recorded 2
+	msqueueRandomAllocCeiling = 9.70  // recorded 7.76
+	msqueuePCTWMAllocCeiling  = 7.50  // recorded 6.00
+	seqlockRandomAllocCeiling = 5.00  // recorded 4.00
+	seqlockPCTWMAllocCeiling  = 2.21  // recorded 1.71
+	exploreAllocCeiling       = 13.72 // recorded 10.97 per explored execution
+)
 
-// TestCompareSnapshots: deltas are matched by (benchmark, strategy),
-// reported in baseline order, and unmatched or degenerate cells are
-// skipped.
-func TestCompareSnapshots(t *testing.T) {
-	old := []EngineSnapshot{
-		snap("dekker", "c11tester", 200),
-		snap("dekker", "pctwm", 100),
-		snap("seqlock", "pctwm", 150),   // missing from the fresh snapshot
-		snap("msqueue", "c11tester", 0), // degenerate: no events measured
+// TestTrialLoopAllocCeilings: a warmed Runner reused across seeds stays
+// under each cell's allocation ceiling per trial, for the random baseline
+// and for PCTWM at the benchmark's design depth.
+func TestTrialLoopAllocCeilings(t *testing.T) {
+	cases := []struct {
+		bench   string
+		pctwm   bool
+		ceiling float64
+	}{
+		{"dekker", false, dekkerRandomAllocCeiling},
+		{"dekker", true, dekkerPCTWMAllocCeiling},
+		{"msqueue", false, msqueueRandomAllocCeiling},
+		{"msqueue", true, msqueuePCTWMAllocCeiling},
+		{"seqlock", false, seqlockRandomAllocCeiling},
+		{"seqlock", true, seqlockPCTWMAllocCeiling},
 	}
-	fresh := []EngineSnapshot{
-		snap("dekker", "pctwm", 130),      // +30% — a regression at 15%
-		snap("dekker", "c11tester", 190),  // -5% — an improvement
-		snap("msqueue", "c11tester", 250), // unmatched (baseline degenerate)
-		snap("barrier", "pctwm", 99),      // not in the baseline
-	}
-
-	deltas := CompareSnapshots(old, fresh)
-	if len(deltas) != 2 {
-		t.Fatalf("got %d deltas, want 2: %+v", len(deltas), deltas)
-	}
-	if deltas[0].Benchmark != "dekker" || deltas[0].Strategy != "c11tester" {
-		t.Errorf("deltas not in baseline order: %+v", deltas)
-	}
-	if math.Abs(deltas[0].DeltaPercent - -5) > 1e-9 {
-		t.Errorf("c11tester delta = %v, want -5", deltas[0].DeltaPercent)
-	}
-	if math.Abs(deltas[1].DeltaPercent-30) > 1e-9 {
-		t.Errorf("pctwm delta = %v, want +30", deltas[1].DeltaPercent)
-	}
-	if deltas[0].Regressed(15) {
-		t.Errorf("improvement flagged as regression: %+v", deltas[0])
-	}
-	if !deltas[1].Regressed(15) {
-		t.Errorf("+30%% not flagged as regression at 15%%: %+v", deltas[1])
-	}
-	if deltas[1].Regressed(40) {
-		t.Errorf("+30%% flagged as regression at 40%%: %+v", deltas[1])
-	}
-}
-
-// TestSnapshotGaps: one-sided cells are reported by name — a baseline
-// missing a cell the candidate has (e.g. an old BENCH_engine.json
-// without explore cells) is named instead of silently skipped.
-func TestSnapshotGaps(t *testing.T) {
-	old := []EngineSnapshot{
-		snap("dekker", "c11tester", 200),
-		snap("seqlock", "pctwm", 150),
-		snap("seqlock", "pctwm", 150), // duplicate cell: reported once
-	}
-	fresh := []EngineSnapshot{
-		snap("dekker", "c11tester", 190),
-		snap("explore-litmus", "serial", 99),
-		snap("explore-litmus", "workers-8", 60),
-	}
-	missingFromOld, missingFromNew := SnapshotGaps(old, fresh)
-	wantOld := []string{"explore-litmus/serial", "explore-litmus/workers-8"}
-	wantNew := []string{"seqlock/pctwm"}
-	if len(missingFromOld) != len(wantOld) || missingFromOld[0] != wantOld[0] || missingFromOld[1] != wantOld[1] {
-		t.Errorf("missingFromOld = %v, want %v", missingFromOld, wantOld)
-	}
-	if len(missingFromNew) != 1 || missingFromNew[0] != wantNew[0] {
-		t.Errorf("missingFromNew = %v, want %v", missingFromNew, wantNew)
-	}
-	if a, b := SnapshotGaps(fresh, fresh); a != nil || b != nil {
-		t.Errorf("identical snapshots report gaps: %v %v", a, b)
+	for _, tc := range cases {
+		b := mustBench(t, tc.bench)
+		prog := b.Program(0)
+		opts := b.Options()
+		var strat engine.Strategy = core.NewRandom()
+		if tc.pctwm {
+			// The snapshot cell's estimate: pctwm-bench's probe at seed 1.
+			est := EstimateParams(prog, 20, 1^0x5eed, opts)
+			strat = core.NewPCTWM(b.Depth, 1, est.KCom)
+		}
+		t.Run(tc.bench+"/"+strat.Name(), func(t *testing.T) {
+			r := engine.NewRunner(prog, opts)
+			defer r.Close()
+			for i := 0; i < 200; i++ {
+				r.Run(strat, int64(i))
+			}
+			seed := int64(0)
+			allocs := testing.AllocsPerRun(2000, func() {
+				r.Run(strat, seed)
+				seed++
+			})
+			t.Logf("%.2f allocs per trial", allocs)
+			if allocs > tc.ceiling {
+				t.Fatalf("%.2f allocs per trial, ceiling %.2f", allocs, tc.ceiling)
+			}
+		})
 	}
 }
 
-func snapAllocs(bench, strat string, nsPerEvent, allocs float64) EngineSnapshot {
-	s := snap(bench, strat, nsPerEvent)
-	s.AllocsPerRun = allocs
-	return s
-}
-
-// TestCompareSnapshotsAllocs: the allocation gate fires on a real
-// regression, tolerates sub-slack jitter on tiny counts, and never
-// fires against a baseline without allocation data.
-func TestCompareSnapshotsAllocs(t *testing.T) {
-	old := []EngineSnapshot{
-		snapAllocs("dekker", "pctwm", 100, 20),
-		snapAllocs("msqueue", "pctwm", 100, 2),
-		snapAllocs("seqlock", "pctwm", 100, 0), // pre-allocs baseline
+// TestExploreAllocCeiling: exhausting the litmus suite with the serial
+// explorer stays under the allocation ceiling per explored execution.
+func TestExploreAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores the full litmus suite")
 	}
-	fresh := []EngineSnapshot{
-		snapAllocs("dekker", "pctwm", 100, 30),   // +50%, +10 abs: regression
-		snapAllocs("msqueue", "pctwm", 100, 2.4), // +20% but only +0.4 abs: jitter
-		snapAllocs("seqlock", "pctwm", 100, 7),   // old side empty: no gate
-	}
-	deltas := CompareSnapshots(old, fresh)
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 3: %+v", len(deltas), deltas)
-	}
-	if !deltas[0].AllocsRegressed(25) {
-		t.Errorf("+50%%/+10 allocs not flagged: %+v", deltas[0])
-	}
-	if deltas[0].AllocsRegressed(60) {
-		t.Errorf("+50%% flagged at a 60%% gate: %+v", deltas[0])
-	}
-	if deltas[0].Regressed(15) {
-		t.Errorf("allocs regression leaked into the ns_per_event gate: %+v", deltas[0])
-	}
-	if deltas[1].AllocsRegressed(10) {
-		t.Errorf("sub-slack jitter (+0.4 allocs) flagged: %+v", deltas[1])
-	}
-	if deltas[1].AllocsDeltaPercent < 19 || deltas[1].AllocsDeltaPercent > 21 {
-		t.Errorf("allocs delta = %v, want ~20", deltas[1].AllocsDeltaPercent)
-	}
-	if deltas[2].AllocsRegressed(0) {
-		t.Errorf("empty baseline flagged: %+v", deltas[2])
-	}
-}
-
-// TestMeasureEngineShape: a tiny measurement produces internally
-// consistent, positive metrics.
-func TestMeasureEngineShape(t *testing.T) {
-	b, err := benchprog.ByName("dekker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := MeasureEngine(b.Name, b.Program(0), core.NewRandom(), 50, 1, b.Options())
-	if s.Benchmark != "dekker" || s.Strategy == "" {
-		t.Fatalf("bad identity: %+v", s)
-	}
-	if s.NsPerRun <= 0 || s.NsPerEvent <= 0 || s.RunsPerSec <= 0 {
-		t.Fatalf("non-positive metrics: %+v", s)
-	}
-	if s.NsPerEvent >= s.NsPerRun {
-		t.Fatalf("per-event cost %v not below per-run cost %v", s.NsPerEvent, s.NsPerRun)
+	runs := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		runs = 0
+		for _, lt := range litmus.Suite() {
+			_, res := enumerate.Outcomes(lt.Program, engine.Options{},
+				enumerate.Config{Limit: 2_000_000, Workers: 1}, func(o *engine.Outcome) string {
+					return lt.Outcome(o.FinalValues)
+				})
+			if res.Drift != nil {
+				t.Fatal(res.Drift)
+			}
+			runs += res.Runs
+		}
+	})
+	perExec := allocs / float64(runs)
+	t.Logf("%.2f allocs per explored execution over %d executions", perExec, runs)
+	if perExec > exploreAllocCeiling {
+		t.Fatalf("%.2f allocs per explored execution over %d executions, ceiling %.2f",
+			perExec, runs, exploreAllocCeiling)
 	}
 }

@@ -128,8 +128,8 @@ func TestTelemetryMetricsHub(t *testing.T) {
 // TestTelemetryZeroAllocOverhead: arming (or not arming) an engine
 // counter shard adds zero allocations to the steady-state trial loop —
 // the hooks are plain field increments, and the nil path is a single
-// predictable branch. (The wall-clock cost is bounded separately by the
-// CI bench gate against BENCH_engine.json.)
+// predictable branch. (Its wall-clock cost is perfbench's
+// telemetry.ns_per_event ladder step.)
 func TestTelemetryZeroAllocOverhead(t *testing.T) {
 	b, _ := benchprog.ByName("dekker")
 	prog := b.Program(0)
