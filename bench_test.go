@@ -186,7 +186,7 @@ func exploreSuite(b *testing.B, workers int) {
 // across every leaf).
 func BenchmarkExploreSuiteSerial(b *testing.B) { exploreSuite(b, 1) }
 
-// BenchmarkExploreSuiteParallel: subtree-sharded exploration on
+// BenchmarkExploreSuiteParallel: interval-split exploration on
 // GOMAXPROCS workers; the counted executions are identical to serial.
 func BenchmarkExploreSuiteParallel(b *testing.B) { exploreSuite(b, 0) }
 

@@ -8,7 +8,7 @@
 //	pctwm-explore -t SB+rlx       # one test
 //	pctwm-explore -limit 100000   # cap the exploration
 //	pctwm-explore -engine.model tso   # exhaust the x86-TSO state space
-//	pctwm-explore -workers 8      # shard subtrees across 8 workers
+//	pctwm-explore -workers 8      # split the leaf order across 8 workers
 //	pctwm-explore -census FILE    # also write the behavior census (JSON)
 //
 // -census additionally enumerates each explored test's ground-truth
@@ -17,8 +17,8 @@
 // a JSON array. A saturated `pctwm-bench -coverage` campaign must
 // reproduce exactly this fingerprint set (pctwm-bench -census verifies).
 //
-// Exploration shards disjoint decision-tree subtrees across -workers
-// pooled engine runners (0 = GOMAXPROCS); outcome counts are merged
+// Exploration splits the depth-first leaf order into intervals across
+// -workers pooled engine runners (0 = GOMAXPROCS); outcome counts are merged
 // deterministically, so the histogram is bit-identical at any worker
 // count.
 //
@@ -50,7 +50,7 @@ func main() {
 		limit   = flag.Int("limit", 2000000, "maximum executions to explore per test")
 		model   = flag.String("engine.model", engine.ModelRC11, "memory model backend: rc11, sc, tso")
 		workers = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS, 1 = serial; results identical)")
-		stats   = flag.Bool("stats", false, "print explorer telemetry (runs/steals/pruned) per test")
+		stats   = flag.Bool("stats", false, "print explorer telemetry (engine runs, interval splits, intervals stopped past the limit) per test")
 		census  = flag.String("census", "", "write the ground-truth behavior census of the explored tests to this JSON file")
 	)
 	flag.IntVar(workers, "explore.workers", 0, "alias for -workers")
@@ -113,7 +113,7 @@ func main() {
 		fmt.Printf("%s (%s) [model %s]\n", lt.Name, lt.Description, *model)
 		fmt.Printf("  %d executions, complete=%v\n", res.Runs, res.Complete)
 		if *stats {
-			fmt.Printf("  explorer: %d engine runs, %d steals, %d pruned subtrees\n",
+			fmt.Printf("  explorer: %d engine runs, %d interval splits, %d intervals stopped past the limit\n",
 				tel.ExploreRuns, tel.ExploreSteals, tel.ExplorePruned)
 		}
 		keys := make([]string, 0, len(counts))

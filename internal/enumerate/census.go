@@ -1,27 +1,30 @@
 package enumerate
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"pctwm/internal/engine"
 )
 
-// censusErrKey classifies leaves that ended in an engine error (step-
-// limit aborts, deadlocks, stalls): they are complete schedules but
-// carry no behavior fingerprint — the harness skips the same runs when
-// accumulating campaign coverage — so the census counts them separately
-// instead of polluting the behavior set.
-const censusErrKey = "err"
+// censusKey classifies one leaf by its behavior fingerprint. Leaves that
+// ended in an engine error (step-limit aborts, deadlocks, stalls) are
+// complete schedules but carry no behavior — the harness skips the same
+// runs when accumulating campaign coverage — so they share the err key
+// and the census counts them separately instead of polluting the
+// behavior set.
+type censusKey struct {
+	fp  uint64
+	err bool
+}
 
-// censusKey classifies one leaf by its behavior fingerprint (hex).
-func censusKey(o *engine.Outcome) string {
+func leafCensusKey(o *engine.Outcome) censusKey {
 	if o.Err != nil {
-		return censusErrKey
+		return censusKey{err: true}
 	}
-	return strconv.FormatUint(o.BehaviorFP, 16)
+	return censusKey{fp: o.BehaviorFP}
 }
 
 // CensusEntry is one distinct behavior in a census: its fingerprint and
@@ -59,7 +62,7 @@ type Census struct {
 // nondeterministic program) aborts with an error.
 func BehaviorCensus(p *engine.Program, opts engine.Options, cfg Config) (*Census, error) {
 	opts.Coverage = true
-	counts, res := Outcomes(p, opts, cfg, censusKey)
+	counts, res := outcomes(p, opts, cfg, leafCensusKey)
 	if res.Drift != nil {
 		return nil, res.Drift
 	}
@@ -74,25 +77,13 @@ func BehaviorCensus(p *engine.Program, opts engine.Options, cfg Config) (*Census
 		Runs:     res.Runs,
 	}
 	for k, n := range counts {
-		if k == censusErrKey {
+		if k.err {
 			c.Skipped = n
 			continue
 		}
-		fp, err := strconv.ParseUint(k, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("enumerate: internal: bad census key %q: %w", k, err)
-		}
-		c.Behaviors = append(c.Behaviors, CensusEntry{FP: fp, Leaves: n})
+		c.Behaviors = append(c.Behaviors, CensusEntry{FP: k.fp, Leaves: n})
 	}
-	slices.SortFunc(c.Behaviors, func(a, b CensusEntry) int {
-		switch {
-		case a.FP < b.FP:
-			return -1
-		case a.FP > b.FP:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(c.Behaviors, func(a, b CensusEntry) int { return cmp.Compare(a.FP, b.FP) })
 	return c, nil
 }
 
@@ -116,7 +107,7 @@ func BehaviorProbs(p *engine.Program, opts engine.Options, limit int) (probs map
 	probs = make(map[uint64]float64)
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	sub := dfs(r, nil, nil, limit, opts.Telemetry, nil, func(o *engine.Outcome, arity []int) bool {
+	sub := dfs(r, &scripted{}, &span{}, limit, opts.Telemetry, nil, func(o *engine.Outcome, arity []int) bool {
 		pr := 1.0
 		for _, a := range arity {
 			pr /= float64(a)

@@ -10,7 +10,7 @@
 //
 // Every execution runs on a pooled engine.Runner (location tables,
 // arenas, and coroutines are reused across leaves), and Outcomes can
-// shard disjoint subtrees of the decision tree across a worker pool —
+// split the depth-first leaf order into intervals across a worker pool —
 // see parallel.go. Parallel results are bit-identical to serial at any
 // worker count.
 //
@@ -23,6 +23,7 @@
 package enumerate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -172,7 +173,8 @@ type Config struct {
 	// the first Limit leaves in depth-first order, regardless of Workers.
 	Limit int
 	// Workers is the number of exploration workers: 0 selects
-	// GOMAXPROCS, 1 forces the serial path. Results are bit-identical at
+	// GOMAXPROCS, 1 forces the serial path. A capped exploration (Limit >
+	// 0) runs at most GOMAXPROCS of them. Results are bit-identical at
 	// every value.
 	Workers int
 	// Context, when non-nil, cancels the exploration cooperatively: it is
@@ -183,12 +185,13 @@ type Config struct {
 	Context context.Context
 }
 
-// ctxStop adapts a context into the dfs stop hook (nil for no context).
-func ctxStop(ctx context.Context) func() bool {
+// ctxNext adapts a context into the dfs next hook (nil for no context):
+// the walk stops once the context is canceled.
+func ctxNext(ctx context.Context) func(script, expect []int) bool {
 	if ctx == nil {
 		return nil
 	}
-	return func() bool { return ctx.Err() != nil }
+	return func(_, _ []int) bool { return ctx.Err() == nil }
 }
 
 // resolveWorkers maps the Config.Workers convention (0 = GOMAXPROCS)
@@ -200,11 +203,37 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// subtreeResult summarizes a bounded DFS over one subtree of the
-// decision tree. Exactly one of the terminal conditions holds: complete
-// (every leaf under the prefix visited), capped (run limit hit), stopped
-// (the stop hook or the visitor ended it), or drift.
-type subtreeResult struct {
+// A span is a stretch of the depth-first leaf order. A node of the
+// decision tree is named by its decision prefix and stands for the
+// leftmost leaf below it (the prefix extended with first alternatives),
+// so the span runs from the leaf of node lo up to, not including, the
+// leaf of node hi; a nil hi runs to the end of the tree. want holds the
+// recorded arity of each decision along lo (drift detection).
+type span struct{ lo, want, hi []int }
+
+// cmpNode orders two nodes by their leftmost leaves, which is the order
+// dfs visits them in.
+func cmpNode(a, b []int) int {
+	for i := range max(len(a), len(b)) {
+		var x, y int
+		if i < len(a) {
+			x = a[i]
+		}
+		if i < len(b) {
+			y = b[i]
+		}
+		if x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return 0
+}
+
+// spanResult summarizes a bounded DFS over one span of the decision
+// tree. Exactly one of the terminal conditions holds: complete (every
+// leaf of the span visited), capped (run limit hit), stopped (the next
+// hook or the visitor ended it), or drift.
+type spanResult struct {
 	runs      int
 	truncated int
 	complete  bool
@@ -213,34 +242,40 @@ type subtreeResult struct {
 	drift     *DriftError
 }
 
-// dfs explores, in lexicographic (depth-first) order, every execution
-// whose decision sequence extends prefix, reusing r across runs. want
-// carries the recorded arity of each decision along prefix for drift
-// detection. limit > 0 caps visited leaves; stop (may be nil) is polled
-// between executions for cooperative early termination; visit returns
-// false to stop after the current leaf. visit additionally receives the
-// leaf's decision arities (engine-owned scratch, valid only during the
-// call): arity[i] is the number of alternatives at the leaf's i-th
-// decision point, so prod(1/arity[i]) is the exact probability a
-// uniform-decision random walk reaches this leaf (see BehaviorProbs).
-// tel (may be nil) counts engine executions into ExploreRuns.
+// dfs explores, in lexicographic (depth-first) order, every execution in
+// the span sp, reusing r across runs. The backtracking climbs above sp.lo
+// as far as the order allows and ends the walk at sp.hi. limit > 0 caps
+// visited leaves; next (may be nil) is called before every execution
+// with the node about to run and the recorded arity along it, and returns
+// false to stop the walk — it may lower sp.hi, which is checked right
+// after it. visit returns false to stop after the current leaf. visit
+// additionally receives the leaf's decision arities (engine-owned
+// scratch, valid only during the call): arity[i] is the number of
+// alternatives at the leaf's i-th decision point, so prod(1/arity[i]) is
+// the exact probability a uniform-decision random walk reaches this leaf
+// (see BehaviorProbs). tel (may be nil) counts engine executions into
+// ExploreRuns.
 //
 // The steady-state loop performs no allocations of its own: the script
-// and arity buffers are reused across leaves, so per-leaf cost is the
-// pooled Runner execution plus the backtracking scan.
-func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineCounters,
-	stop func() bool, visit func(*engine.Outcome, []int) bool) subtreeResult {
-	var res subtreeResult
-	s := &scripted{}
-	script := append(make([]int, 0, len(prefix)+16), prefix...)
-	expect := append(make([]int, 0, len(want)+16), want...)
+// and arity buffers of s are reused across leaves (and across walks that
+// share s), so per-leaf cost is the pooled Runner execution plus the
+// backtracking scan.
+func dfs(r *engine.Runner, s *scripted, sp *span, limit int, tel *telemetry.EngineCounters,
+	next func(script, expect []int) bool, visit func(*engine.Outcome, []int) bool) spanResult {
+	var res spanResult
+	script := append(s.script[:0], sp.lo...)
+	expect := append(s.want[:0], sp.want...)
 	for {
 		if limit > 0 && res.runs >= limit {
 			res.capped = true
 			return res
 		}
-		if stop != nil && stop() {
+		if next != nil && !next(script, expect) {
 			res.stopped = true
+			return res
+		}
+		if sp.hi != nil && cmpNode(script, sp.hi) >= 0 {
+			res.complete = true
 			return res
 		}
 		s.script, s.want = script, expect
@@ -274,11 +309,11 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 			return res
 		}
 
-		// Backtrack: find the deepest decision point at or below the
-		// subtree root that still has an untaken alternative, bump it, and
-		// drop everything after. Choices beyond the script length were 0.
+		// Backtrack: find the deepest decision point that still has an
+		// untaken alternative, bump it, and drop everything after.
+		// Choices beyond the script length were 0.
 		i := len(s.arity) - 1
-		for i >= len(prefix) {
+		for ; i >= 0; i-- {
 			c := 0
 			if i < len(script) {
 				c = script[i]
@@ -286,9 +321,8 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 			if c+1 < s.arity[i] {
 				break
 			}
-			i--
 		}
-		if i < len(prefix) {
+		if i < 0 {
 			res.complete = true
 			return res
 		}
@@ -301,8 +335,8 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 	}
 }
 
-// result converts a whole-tree subtreeResult into the public form.
-func (s subtreeResult) result() Result {
+// result converts a whole-tree spanResult into the public form.
+func (s spanResult) result() Result {
 	return Result{
 		Runs:      s.runs,
 		Complete:  s.complete,
@@ -333,13 +367,13 @@ func Explore(p *engine.Program, opts engine.Options, limit int, visit func(*engi
 func ExploreUntil(p *engine.Program, opts engine.Options, limit int, visit func(*engine.Outcome) bool) Result {
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	return dfs(r, nil, nil, limit, opts.Telemetry, nil,
+	return dfs(r, &scripted{}, &span{}, limit, opts.Telemetry, nil,
 		func(o *engine.Outcome, _ []int) bool { return visit(o) }).result()
 }
 
 // Outcomes explores the program and classifies each execution with the
 // key function, returning how many executions produced each key. With
-// cfg.Workers != 1 disjoint subtrees of the decision tree are explored
+// cfg.Workers != 1 intervals of the depth-first leaf order are explored
 // in parallel (see parallel.go); the returned counts and Result are
 // bit-identical to the serial exploration at any worker count. key must
 // be safe for concurrent use when cfg.Workers != 1 (a pure function of
@@ -349,13 +383,18 @@ func ExploreUntil(p *engine.Program, opts engine.Options, limit int, visit func(
 // error: partial counts of a nondeterministic program are meaningless,
 // and discarding them keeps serial and parallel output identical.
 func Outcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
+	return outcomes(p, opts, cfg, key)
+}
+
+// outcomes is Outcomes over any comparable key type.
+func outcomes[K comparable](p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
 	if resolveWorkers(cfg.Workers) > 1 {
 		return parallelOutcomes(p, opts, cfg, key)
 	}
-	counts := make(map[string]int)
+	counts := make(map[K]int)
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	sub := dfs(r, nil, nil, cfg.Limit, opts.Telemetry, ctxStop(cfg.Context), func(o *engine.Outcome, _ []int) bool {
+	sub := dfs(r, &scripted{}, &span{}, cfg.Limit, opts.Telemetry, ctxNext(cfg.Context), func(o *engine.Outcome, _ []int) bool {
 		counts[key(o)]++
 		return true
 	})

@@ -1,450 +1,397 @@
-// Parallel exhaustive exploration: the decision tree is expanded
-// serially to a shallow frontier, the disjoint subtrees below the
-// frontier are sharded across a work-stealing worker pool (each worker
-// owns one pooled engine.Runner), and per-subtree outcome counts are
-// merged in lexicographic frontier order so the final counts and Result
-// are bit-identical to a serial exploration — including where a run
-// limit truncates the tree.
+// Parallel exhaustive exploration over dynamically split leaf intervals.
 //
-// Determinism argument. The frontier units partition the leaf set, and
-// their order is the depth-first script order, so concatenating the
-// per-unit leaf sequences reproduces the serial visit sequence exactly.
-// Outcome counting is commutative within a unit and the merge walks
-// units in order, so an unlimited exploration trivially matches serial.
-// With a limit L, the serial explorer visits exactly the first L leaves;
-// the merge reproduces that cut by accumulating unit run counts in
-// order and re-descending the one boundary subtree that straddles leaf
-// L with exactly the remaining budget (the subtree's leaves enumerate
-// in the same depth-first order, so "its first k leaves" is
-// well-defined and worker-count independent). Units past the cut are
-// discarded; a stop flag lets their workers quit early, which changes
-// only how much discarded work was performed (telemetry), never the
-// merged result.
+// The leaves of the decision tree are totally ordered by the depth-first
+// order the serial explorer visits them in. Every worker walks an
+// interval of that order (a span: from the leaf of node lo up to, not
+// including, the leaf of node hi) with the serial dfs, whose
+// backtracking climbs above lo and stops at hi. The exploration starts
+// as one interval over the whole tree. Before each execution a worker
+// publishes the node it is about to run; an idle worker splits an
+// in-flight interval at a pending sibling s on that node's path: the
+// owner keeps [node, s) and the idle worker takes [s, hi).
+//
+// An uncapped exploration splits at the shallowest such sibling of any
+// interval, so intervals stay large and splits rare. A capped one keeps
+// every worker at the front of the order, since only the first Limit
+// leaves count: an idle worker takes the first work in leaf order, and
+// splits at the shallowest sibling that, by the shape of the owner's
+// last leaf, leaves the owner at most maxKeep leaves. When that estimate
+// is wrong a worker can end up far past the limit, so a capped walk
+// also gives way after yieldAfter leaves whenever there is work earlier
+// in the order: it ends its interval at the node it was about to run and
+// leaves the rest as an interval for whichever worker reaches it first.
+// A capped exploration also runs no more workers than GOMAXPROCS, since
+// a worker waiting for a CPU stalls the leaf count the others stop by.
+// Each worker owns one pooled engine.Runner, created when it first
+// receives an interval.
+//
+// Determinism argument. The intervals partition the leaf set and a split
+// inserts the new interval right after its parent, so the interval list
+// is in leaf order and concatenating the per-interval leaf sequences
+// reproduces the serial visit sequence exactly. Counting is commutative
+// within an interval, so an unlimited exploration trivially matches
+// serial. With a limit L the serial explorer visits exactly the first L
+// leaves. A capped interval records its leaves' keys in order and stops
+// once the leaves visited so far by the intervals before it, plus its
+// own, reach L: those counts only grow, so no leaf it skips can be among
+// the first L. The merge walks the list in order and cuts the one
+// interval that straddles leaf L from its recorded keys, with exactly
+// the budget left for it. Timing changes only how many leaves past the
+// cut were executed (telemetry), never the merged result.
 package enumerate
 
 import (
+	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"pctwm/internal/engine"
 	"pctwm/internal/telemetry"
 )
 
-const (
-	// shardFactor sets how many frontier subtrees the expansion aims for
-	// per worker. More shards mean better load balance (subtree sizes are
-	// wildly skewed) at the cost of a longer serial expansion phase.
-	shardFactor = 8
-	// maxFrontierDepth bounds the expansion depth, guarding against
-	// degenerate trees (long arity-1 chains) that would otherwise expand
-	// forever without producing new shards.
-	maxFrontierDepth = 64
-)
+// maxKeep bounds the leaves a capped split leaves to the owner of the
+// split interval, as estimated by splitPoint. The new interval's limit
+// check cannot count those leaves before they are visited, so the bound
+// keeps a new interval from starting far past the limit.
+const maxKeep = 32
 
-// unit is one shard of the decision tree in frontier order: either a
-// single leaf already explored during expansion, or an unexplored
-// subtree rooted at prefix.
-type unit struct {
-	prefix []int
-	// want holds the recorded arity at each prefix position (drift
-	// detection on re-descent).
-	want []int
-	leaf bool
-	// Discovery-run classification, valid for leaf units only.
-	key       string
+// yieldAfter is how many leaves a capped walk visits before it gives way
+// to work earlier in the leaf order, bounding what it executes past the
+// limit when a split left more leaves before it than estimated.
+const yieldAfter = 32
+
+// leaf is one recorded leaf of a capped interval.
+type leaf[K comparable] struct {
+	key       K
 	truncated bool
 }
 
-// expNode is a frontier node during expansion. tail holds the discovery
-// run's recorded arities below prefix (its all-zeros descent); an empty
-// tail means the run ended exactly at prefix — the node is a leaf.
-type expNode struct {
-	prefix    []int
-	want      []int
-	tail      []int
-	key       string
-	truncated bool
+// interval is one worker's stretch of the leaf order.
+type interval[K comparable] struct {
+	span // lo and want are fixed; splits lower hi (pool.mu)
+	// The fields below up to counts are guarded by pool.mu.
+	next *interval[K] // the following interval in leaf order
+	// at is the node the walk runs next and atWant the recorded arity
+	// along it (nil before the first execution); last holds the arities
+	// of the walk's last leaf.
+	at, atWant, last []int
+	runs             int  // leaves visited
+	owned            bool // a worker walks it (or has walked it)
+	done             bool
+	// Walk results, owned by the walking worker until the pool drains:
+	// counts when uncapped, every leaf in order when capped.
+	counts map[K]int
+	leaves []leaf[K]
+	res    spanResult
 }
 
-func appendCopy(s []int, v int) []int {
-	out := make([]int, len(s)+1)
-	copy(out, s)
-	out[len(s)] = v
-	return out
+// pool keeps the intervals in leaf order and splits them for idle
+// workers.
+type pool[K comparable] struct {
+	mu   sync.Mutex
+	wake sync.Cond // idle workers wait here for work
+	head *interval[K]
+	// settled is the last interval of the list's finished prefix, and
+	// settledRuns the leaves of that prefix.
+	settled     *interval[K]
+	settledRuns int
+	walking     int  // intervals being walked
+	idle        int  // workers waiting in take
+	halt        bool // drift: every walk stops
+	limit       int
 }
 
-// expandFrontier grows the frontier level by level until it holds at
-// least target units, the tree is fully expanded, or the depth budget
-// runs out. Each internal node's 0-child inherits the parent's
-// discovery run (the run that revealed the node already recorded the
-// arities of the whole all-zeros descent below it), so expansion costs
-// one engine run per non-zero child only — the trie of recorded
-// arities is what lets re-descents skip already-known structure.
-func expandFrontier(r *engine.Runner, target int, keyFn func(*engine.Outcome) string,
-	tel *telemetry.EngineCounters, stop func() bool) (units []unit, interrupted bool, drift *DriftError) {
-	probe := func(prefix, want []int) (*expNode, *DriftError) {
-		s := &scripted{script: prefix, want: want}
-		o := r.Run(s, 0)
-		if tel != nil {
-			tel.ExploreRuns++
-		}
-		if s.drift == nil && len(s.arity) < len(prefix) {
-			w := 0
-			if len(s.arity) < len(want) {
-				w = want[len(s.arity)]
-			}
-			s.drift = &DriftError{Index: len(s.arity), Want: w, Prefix: append([]int(nil), prefix...)}
-		}
-		if s.drift != nil {
-			return nil, s.drift
-		}
-		return &expNode{
-			prefix:    prefix,
-			want:      want,
-			tail:      append([]int(nil), s.arity[len(prefix):]...),
-			key:       keyFn(o),
-			truncated: o.Aborted,
-		}, nil
+// after returns the interval following iv in leaf order (the head for
+// nil). Called with mu held.
+func (p *pool[K]) after(iv *interval[K]) *interval[K] {
+	if iv == nil {
+		return p.head
 	}
+	return iv.next
+}
 
-	if stop != nil && stop() {
-		return nil, true, nil
-	}
-	root, derr := probe(nil, nil)
-	if derr != nil {
-		return nil, false, derr
-	}
-	level := []*expNode{root}
-	for depth := 0; depth < maxFrontierDepth && len(level) < target; depth++ {
-		if stop != nil && stop() {
-			return nil, true, nil
+// take returns the next interval for the calling worker, waiting while
+// there is none, or nil once no work is left.
+func (p *pool[K]) take(tel *telemetry.EngineCounters) *interval[K] {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.halt {
+		if iv := p.claim(tel); iv != nil {
+			p.walking++
+			return iv
 		}
-		internal := 0
-		for _, n := range level {
-			if len(n.tail) > 0 {
-				internal++
-			}
-		}
-		if internal == 0 {
+		if p.walking == 0 {
 			break
 		}
-		next := make([]*expNode, 0, 2*len(level))
-		for _, n := range level {
-			if len(n.tail) == 0 {
-				next = append(next, n)
-				continue
-			}
-			arity := n.tail[0]
-			// Child 0 is the continuation of the discovery run.
-			next = append(next, &expNode{
-				prefix:    appendCopy(n.prefix, 0),
-				want:      appendCopy(n.want, arity),
-				tail:      n.tail[1:],
-				key:       n.key,
-				truncated: n.truncated,
-			})
-			for c := 1; c < arity; c++ {
-				child, derr := probe(appendCopy(n.prefix, c), appendCopy(n.want, arity))
-				if derr != nil {
-					return nil, false, derr
-				}
-				next = append(next, child)
-			}
+		p.idle++
+		p.wake.Wait()
+		p.idle--
+	}
+	return nil
+}
+
+// claim finds work for an idle worker: an interval no worker walks yet,
+// or a split of an in-flight one. A capped exploration takes the first
+// such work in leaf order before the limit, so workers stay at the front
+// of the order; an uncapped one splits at the shallowest split point of
+// any interval, so intervals stay large. Called with mu held.
+func (p *pool[K]) claim(tel *telemetry.EngineCounters) *interval[K] {
+	capped := p.limit > 0
+	var victim *interval[K]
+	best := -1
+	before := p.settledRuns
+	for x := p.after(p.settled); x != nil; x = x.next {
+		if capped && before+x.runs >= p.limit {
+			break // everything from x on lies past the limit
 		}
-		level = next
-	}
-	units = make([]unit, len(level))
-	for i, n := range level {
-		units[i] = unit{
-			prefix:    n.prefix,
-			want:      n.want,
-			leaf:      len(n.tail) == 0,
-			key:       n.key,
-			truncated: n.truncated,
+		before += x.runs
+		if x.done {
+			continue
 		}
-	}
-	return units, false, nil
-}
-
-// stealQueues distributes unit indices over per-worker FIFO queues. A
-// worker pops its own queue from the front; when empty it steals from
-// the back of the longest other queue, keeping stolen subtrees as far
-// as possible from the victim's current position.
-type stealQueues struct {
-	mu sync.Mutex
-	qs [][]int
-}
-
-func newStealQueues(indices []int, workers int) *stealQueues {
-	sq := &stealQueues{qs: make([][]int, workers)}
-	for j, idx := range indices {
-		w := j % workers
-		sq.qs[w] = append(sq.qs[w], idx)
-	}
-	return sq
-}
-
-func (q *stealQueues) pop(w int) (idx int, stole, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.qs[w]; len(own) > 0 {
-		idx = own[0]
-		q.qs[w] = own[1:]
-		return idx, false, true
-	}
-	victim, best := -1, 0
-	for v := range q.qs {
-		if l := len(q.qs[v]); l > best {
-			victim, best = v, l
+		if !x.owned {
+			x.owned = true
+			return x
 		}
-	}
-	if victim < 0 {
-		return 0, false, false
-	}
-	last := len(q.qs[victim]) - 1
-	idx = q.qs[victim][last]
-	q.qs[victim] = q.qs[victim][:last]
-	return idx, true, true
-}
-
-// explorePool coordinates the workers: per-unit results in frontier
-// order, a coverage monitor that raises the stop flag once the ordered
-// prefix of finalized units covers the run limit, and a drift flag that
-// aborts everything.
-type explorePool struct {
-	units   []unit
-	results []*subtreeResult
-	counts  []map[string]int
-	limit   int
-	mu      sync.Mutex
-	stop    atomic.Bool
-}
-
-func (e *explorePool) stopped() bool { return e.stop.Load() }
-
-// finish records a unit's exploration result and re-evaluates coverage.
-func (e *explorePool) finish(i int, r *subtreeResult, m map[string]int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.results[i] = r
-	e.counts[i] = m
-	if r.drift != nil {
-		e.stop.Store(true)
-		return
-	}
-	e.updateCoverage()
-}
-
-// updateCoverage raises the stop flag when the contiguous prefix of
-// finalized units already accounts for limit executions: everything
-// after the covering point will be discarded by the merge, so workers
-// still exploring it may quit. Called with mu held.
-func (e *explorePool) updateCoverage() {
-	if e.limit <= 0 {
-		return
-	}
-	covered := 0
-	for i := range e.units {
-		r := e.results[i]
-		if r == nil || r.stopped {
-			return
-		}
-		covered += r.runs
-		if covered >= e.limit {
-			e.stop.Store(true)
-			return
-		}
-	}
-}
-
-// parallelOutcomes is the Workers != 1 path of Outcomes.
-func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
-	workers := resolveWorkers(cfg.Workers)
-
-	// The caller's telemetry must not be written concurrently: strip it,
-	// give the coordinator and every worker their own shard, and merge
-	// after the pool drains (the RunCampaign contract).
-	base := opts.Telemetry
-	workerOpts := opts
-	workerOpts.Telemetry = nil
-	coordOpts := opts
-	var coordTel *telemetry.EngineCounters
-	if base != nil {
-		coordTel = &telemetry.EngineCounters{}
-		coordOpts.Telemetry = coordTel
-	}
-	var shards []*telemetry.EngineCounters
-	mergeTel := func() {
-		if base == nil {
-			return
-		}
-		for _, s := range shards {
-			if s != nil {
-				base.Merge(s)
+		if j := p.splitPoint(x); j >= 0 && (victim == nil || j < best) {
+			victim, best = x, j
+			if capped {
+				break
 			}
 		}
-		base.Merge(coordTel)
 	}
+	if victim == nil {
+		return nil
+	}
+	s := append(slices.Clone(victim.at[:best]), victim.at[best]+1)
+	iv := &interval[K]{span: span{lo: s, want: slices.Clone(victim.atWant[:best+1]), hi: victim.hi}, next: victim.next, owned: true}
+	victim.hi, victim.next = s, iv
+	tel.ExploreSteals++
+	return iv
+}
 
-	// Phase 1: serial frontier expansion on the coordinator's Runner.
-	ctxDone := ctxStop(cfg.Context)
-	rc := engine.NewRunner(p, coordOpts)
-	defer rc.Close()
-	units, interrupted, derr := expandFrontier(rc, workers*shardFactor, key, coordTel, ctxDone)
-	if derr != nil {
-		mergeTel()
-		return nil, Result{Drift: derr}
+// splitPoint picks where to split x (see splitPoint), or -1. Called with
+// mu held.
+func (p *pool[K]) splitPoint(x *interval[K]) int {
+	if x.runs < 2 {
+		// The second leaf of a walk replays a prefix its first recorded:
+		// a program that drifts between runs (say, through state its
+		// body keeps across executions) is caught there, before a second
+		// worker could run it at the same time.
+		return -1
 	}
-	if interrupted {
-		mergeTel()
-		return make(map[string]int), Result{Interrupted: true}
+	if p.limit > 0 {
+		return splitPoint(x.at, x.atWant, x.hi, x.last, maxKeep)
 	}
+	return splitPoint(x.at, x.atWant, x.hi, nil, 0)
+}
 
-	pool := &explorePool{
-		units:   units,
-		results: make([]*subtreeResult, len(units)),
-		counts:  make([]map[string]int, len(units)),
-		limit:   cfg.Limit,
+// splitPoint returns the index j of the sibling at[:j]+[at[j]+1] to
+// split at: the shallowest pending alternative on at's path that lies
+// before hi, or -1 when there is none. With keep > 0 the owner may keep
+// only about keep leaves, [at, sibling): they are estimated as the
+// product of the arities below j along last, the owner's last leaf,
+// whose shape the subtrees next to it are assumed to share.
+func splitPoint(at, want, hi, last []int, keep int) int {
+	est := 1
+	for _, a := range last[min(len(at), len(last)):] {
+		est = min(est*a, keep+1)
 	}
-	var subtrees []int
-	for i, u := range units {
-		if u.leaf {
-			r := &subtreeResult{runs: 1, complete: true}
-			if u.truncated {
-				r.truncated = 1
+	best := -1
+	for j := len(at) - 1; j >= 0 && (keep == 0 || est <= keep); j-- {
+		if at[j]+1 < want[j] {
+			at[j]++
+			inside := hi == nil || cmpNode(at[:j+1], hi) < 0
+			at[j]--
+			if !inside {
+				break // shallower siblings lie further still
 			}
-			pool.results[i] = r
-			pool.counts[i] = map[string]int{u.key: 1}
+			best = j
+		}
+		est = min(est*want[j], keep+1)
+	}
+	return best
+}
+
+// step is the walking worker's hook before each execution: it publishes
+// the node about to run (script, with recorded arities expect), the
+// arities of the last leaf and the leaves visited so far, refreshes the
+// walk's end sp.hi, and reports whether the walk goes on. A capped walk
+// stops once the leaves visited before it plus its own reach the limit,
+// and after yieldAfter leaves it ends at the node about to run whenever
+// there is work earlier in the order, leaving the rest of its interval
+// to whichever worker gets there first.
+func (p *pool[K]) step(iv *interval[K], sp *span, runs int, script, expect, last []int,
+	tel *telemetry.EngineCounters) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	iv.runs = runs
+	if p.halt {
+		return false
+	}
+	if p.limit > 0 {
+		before, earlier := p.settledRuns, false
+		for x := p.after(p.settled); x != iv; x = x.next {
+			before += x.runs
+			if runs >= yieldAfter && !earlier && !x.done {
+				earlier = !x.owned || p.splitPoint(x) >= 0
+			}
+		}
+		if before+runs >= p.limit {
+			tel.ExplorePruned++
+			return false
+		}
+		if earlier {
+			rest := &interval[K]{span: span{lo: slices.Clone(script), want: slices.Clone(expect), hi: iv.hi}, next: iv.next}
+			iv.hi, iv.next = rest.lo, rest
+			p.wake.Signal()
+		}
+	}
+	iv.at = append(iv.at[:0], script...)
+	iv.atWant = append(iv.atWant[:0], expect...)
+	iv.last = append(iv.last[:0], last...)
+	sp.hi = iv.hi
+	if p.idle > 0 && p.splitPoint(iv) >= 0 {
+		p.wake.Signal()
+	}
+	return true
+}
+
+// finish records the end of iv's walk and extends the settled prefix.
+func (p *pool[K]) finish(iv *interval[K]) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	iv.done = true
+	iv.runs = iv.res.runs
+	p.halt = p.halt || iv.res.drift != nil
+	for x := p.after(p.settled); x != nil && x.done; x = x.next {
+		p.settled = x
+		p.settledRuns += x.runs
+	}
+	if p.walking--; p.walking == 0 || p.halt {
+		p.wake.Broadcast()
+	}
+}
+
+// walk explores iv on r, driven by s.
+func (p *pool[K]) walk(r *engine.Runner, s *scripted, iv *interval[K], tel *telemetry.EngineCounters,
+	ctxOK func(script, expect []int) bool, key func(*engine.Outcome) K) {
+	capped := p.limit > 0
+	if !capped {
+		iv.counts = make(map[K]int)
+	}
+	p.mu.Lock()
+	sp := iv.span
+	p.mu.Unlock()
+	runs := 0
+	var last []int
+	iv.res = dfs(r, s, &sp, 0, tel, func(script, expect []int) bool {
+		return (ctxOK == nil || ctxOK(script, expect)) && p.step(iv, &sp, runs, script, expect, last, tel)
+	}, func(o *engine.Outcome, arity []int) bool {
+		k := key(o)
+		if capped {
+			iv.leaves = append(iv.leaves, leaf[K]{k, o.Aborted})
 		} else {
-			subtrees = append(subtrees, i)
+			iv.counts[k]++
 		}
-	}
+		runs++
+		last = append(last[:0], arity...)
+		return true
+	})
+	p.finish(iv)
+}
 
-	// Phase 2: work-stealing pool over the subtree shards.
-	if nw := min(workers, len(subtrees)); nw > 0 {
-		pool.mu.Lock()
-		pool.updateCoverage() // the leaf prefix alone may cover the limit
-		pool.mu.Unlock()
-		sq := newStealQueues(subtrees, nw)
-		if base != nil {
-			shards = make([]*telemetry.EngineCounters, nw)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wopts := workerOpts
-				var shard *telemetry.EngineCounters
-				if base != nil {
-					shard = &telemetry.EngineCounters{}
-					shards[w] = shard
-					wopts.Telemetry = shard
-				}
-				r := engine.NewRunner(p, wopts)
-				defer r.Close()
-				for {
-					idx, stole, ok := sq.pop(w)
-					if !ok {
-						return
-					}
-					if stole && shard != nil {
-						shard.ExploreSteals++
-					}
-					if pool.stopped() || (ctxDone != nil && ctxDone()) {
-						// Covered by earlier shards (or drift): skip without
-						// exploring. The merge never reaches this unit.
-						if shard != nil {
-							shard.ExplorePruned++
-						}
-						pool.finish(idx, &subtreeResult{stopped: true}, nil)
-						continue
-					}
-					u := units[idx]
-					m := make(map[string]int)
-					wstop := pool.stopped
-					if ctxDone != nil {
-						wstop = func() bool { return pool.stopped() || ctxDone() }
-					}
-					sub := dfs(r, u.prefix, u.want, pool.limit, shard, wstop,
-						func(o *engine.Outcome, _ []int) bool {
-							m[key(o)]++
-							return true
-						})
-					if sub.stopped && shard != nil {
-						shard.ExplorePruned++
-					}
-					pool.finish(idx, &sub, m)
-				}
-			}(w)
-		}
-		wg.Wait()
+// parallelOutcomes is the Workers != 1 path of outcomes.
+func parallelOutcomes[K comparable](prog *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
+	workers := resolveWorkers(cfg.Workers)
+	capped := cfg.Limit > 0
+	if capped {
+		// A worker waiting for a CPU holds back the leaf count that tells
+		// the walks after its interval where the limit lies, so a capped
+		// exploration runs no more workers than can run at once.
+		workers = min(workers, runtime.GOMAXPROCS(0))
 	}
+	ctxOK := ctxNext(cfg.Context)
 
-	// Any drift aborts the whole exploration; report the one from the
-	// lexicographically earliest unit for stability.
-	for i := range units {
-		if r := pool.results[i]; r != nil && r.drift != nil {
-			mergeTel()
-			return nil, Result{Drift: r.drift}
-		}
-	}
+	root := &interval[K]{owned: true}
+	p := &pool[K]{head: root, walking: 1, limit: cfg.Limit}
+	p.wake.L = &p.mu
 
-	// Phase 3: deterministic merge in frontier order.
-	counts := make(map[string]int)
-	res := Result{Complete: true}
-	for i := range units {
-		if ctxDone != nil && ctxDone() {
-			// Canceled mid-merge: report the partial prefix merged so far
-			// without re-descending the remaining units (a re-descent would
-			// defeat the cancellation).
-			res.Complete = false
-			res.Interrupted = true
-			break
-		}
-		if cfg.Limit > 0 && res.Runs >= cfg.Limit {
-			// The limit cut the tree before this unit; serial would have
-			// stopped here too.
-			res.Complete = false
-			break
-		}
-		r, m := pool.results[i], pool.counts[i]
-		remaining := 0
-		if cfg.Limit > 0 {
-			remaining = cfg.Limit - res.Runs
-		}
-		if r == nil || r.stopped || (cfg.Limit > 0 && r.runs > remaining) {
-			// The unit was skipped, stopped early, or explored past the
-			// budget that is actually left for it: re-descend it serially
-			// with exactly the remaining budget so the merged counts match
-			// the serial cut bit for bit. Cancellation still stops the
-			// re-descent between executions.
-			m = make(map[string]int)
-			sub := dfs(rc, units[i].prefix, units[i].want, remaining, coordTel, ctxDone,
-				func(o *engine.Outcome, _ []int) bool {
-					m[key(o)]++
-					return true
-				})
-			if sub.drift != nil {
-				mergeTel()
-				return nil, Result{Drift: sub.drift}
+	// The caller's telemetry must not be written concurrently: every
+	// worker counts into its own shard, merged after the pool drains (the
+	// RunCampaign contract).
+	base := opts.Telemetry
+	shards := make([]telemetry.EngineCounters, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wopts := opts
+			wopts.Telemetry = nil
+			tel := &shards[w]
+			if base != nil {
+				wopts.Telemetry = tel
 			}
-			r = &sub
+			iv := root
+			if w > 0 {
+				iv = p.take(tel)
+			}
+			if iv == nil {
+				return
+			}
+			r, s := engine.NewRunner(prog, wopts), &scripted{}
+			defer r.Close()
+			for ; iv != nil; iv = p.take(tel) {
+				p.walk(r, s, iv, tel, ctxOK, key)
+			}
+		}()
+	}
+	wg.Wait()
+	if base != nil {
+		for i := range shards {
+			base.Merge(&shards[i])
 		}
-		for k, n := range m {
-			counts[k] += n
+	}
+
+	// Any drift aborts the whole exploration; report the one earliest in
+	// leaf order for stability.
+	for iv := p.head; iv != nil; iv = iv.next {
+		if iv.res.drift != nil {
+			return nil, Result{Drift: iv.res.drift}
 		}
-		res.Runs += r.runs
-		res.Truncated += r.truncated
-		if !r.complete {
+	}
+
+	// Deterministic merge in leaf order.
+	counts := make(map[K]int)
+	res := Result{Complete: true}
+	for iv := p.head; iv != nil; iv = iv.next {
+		if capped && res.Runs == cfg.Limit {
+			// The limit cut the order before this (non-empty) interval.
 			res.Complete = false
+			break
 		}
-		if r.stopped {
+		take := iv.res.runs
+		if capped {
+			take = min(take, cfg.Limit-res.Runs)
+			for _, l := range iv.leaves[:take] {
+				counts[l.key]++
+				if l.truncated {
+					res.Truncated++
+				}
+			}
+		} else {
+			for k, n := range iv.counts {
+				counts[k] += n
+			}
+			res.Truncated += iv.res.truncated
+		}
+		res.Runs += take
+		if take < iv.res.runs || !iv.res.complete {
+			// Cut by the limit, or stopped short by cancellation.
 			res.Complete = false
-			res.Interrupted = true
+			res.Interrupted = !capped || res.Runs < cfg.Limit
 			break
 		}
 	}
-	mergeTel()
 	return counts, res
 }

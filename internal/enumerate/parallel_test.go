@@ -45,7 +45,7 @@ func differentialCases(t *testing.T, full bool) []differentialCase {
 				prog:   lt.Program,
 				opts:   engine.Options{Model: model},
 				key:    func(o *engine.Outcome) string { return lt.Outcome(o.FinalValues) },
-				limits: []int{0, 1, 700},
+				limits: []int{0, 1, 700, 5000},
 			})
 		}
 		for _, name := range benchNames {
@@ -64,7 +64,7 @@ func differentialCases(t *testing.T, full bool) []differentialCase {
 				name:   name + "/" + model,
 				prog:   b.Program(0),
 				opts:   opts,
-				limits: []int{1, 700},
+				limits: []int{1, 700, 5000},
 				key: func(o *engine.Outcome) string {
 					switch {
 					case o.BugHit:
@@ -107,7 +107,7 @@ func benchByName(t *testing.T, name string) *benchprog.Benchmark {
 
 // TestParallelMatchesSerial is the determinism contract of the parallel
 // explorer: over litmus and benchmark programs, every memory model, and
-// worker counts 1, 2, and 8, the outcome counts and the Result fields
+// worker counts 1, 2, 3, and 8, the outcome counts and the Result fields
 // must be bit-identical to the serial exploration — both for complete
 // explorations and for runs truncated by a limit (where "the first N
 // executions" must mean the same N leaves at any worker count).
@@ -120,7 +120,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if serialRes.Drift != nil {
 					t.Fatalf("limit %d: serial drift: %v", limit, serialRes.Drift)
 				}
-				for _, workers := range []int{2, 8} {
+				for _, workers := range []int{2, 3, 8} {
 					gotCounts, gotRes := Outcomes(tc.prog, tc.opts, Config{Limit: limit, Workers: workers}, tc.key)
 					if gotRes.Drift != nil {
 						t.Fatalf("limit %d workers %d: drift: %v", limit, workers, gotRes.Drift)
@@ -341,6 +341,37 @@ func TestParallelLimitExactPrefix(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers %d: prefix counts diverge\n got  %v\n want %v", workers, got, want)
+		}
+	}
+}
+
+// TestParallelCappedNoDiscard: a capped parallel exploration executes
+// little beyond the leaves it counts. An interval stops once the leaves
+// counted before it reach the limit and idle workers keep to the front of
+// the leaf order, so the engine runs stay within 1.5x the limit at every
+// worker count.
+func TestParallelCappedNoDiscard(t *testing.T) {
+	const limit = 5000
+	for _, name := range []string{"dekker", "seqlock"} {
+		b := benchByName(t, name)
+		opts := b.Options()
+		opts.MaxSteps = 250 // as in differentialCases
+		for _, workers := range []int{2, 4, 8} {
+			var tel telemetry.EngineCounters
+			opts.Telemetry = &tel
+			_, res := Outcomes(b.Program(0), opts, Config{Limit: limit, Workers: workers}, func(o *engine.Outcome) string {
+				if o.BugHit {
+					return "bug"
+				}
+				return "ok"
+			})
+			if res.Drift != nil || res.Runs != limit {
+				t.Fatalf("%s workers %d: %+v", name, workers, res)
+			}
+			if tel.ExploreRuns > limit*3/2 {
+				t.Errorf("%s workers %d: %d engine runs for %d counted leaves (%.2fx > 1.5x)",
+					name, workers, tel.ExploreRuns, limit, float64(tel.ExploreRuns)/limit)
+			}
 		}
 	}
 }

@@ -301,11 +301,11 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 		<-done
 	}
 
-	for w, l := range locals {
+	for w := range locals {
 		if !states[w].done.Load() {
 			continue // stuck worker: its local result was never published
 		}
-		mergeTrialResults(&res, l)
+		mergeTrialResults(&res, locals[w])
 	}
 	finishTelemetry(&res, shards, states, telBase, camp.Metrics)
 	finishCoverage(&res, covs, states)
@@ -596,8 +596,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 				metrics.ObserveTrial(telemetry.TrialObs{Quarantined: true})
 			}
 			if sink != nil {
-				sink.capture(s, 0, "harness-panic", "panic escaped the engine: "+pan.val,
-					replay.OutcomeSummary{}, pan)
+				sink.capture(s, 0, "harness-panic", nil, pan)
 			}
 			closeQuarantined(r)
 			r = engine.NewRunner(prog, opts)
@@ -656,7 +655,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 		}
 		if sink != nil {
 			if kind, failing := classifyFailure(o, hit); failing {
-				sink.capture(s, o.BehaviorFP, kind, failureMsg(o, kind), replay.Summarize(o), nil)
+				sink.capture(s, o.BehaviorFP, kind, o, nil)
 			}
 		}
 	}
@@ -727,6 +726,9 @@ type reproSink struct {
 	// the first max arrivals of the same one.
 	dedupe bool
 
+	// full is set once every slot is claimed, so the failing trials after
+	// that skip the lock.
+	full     atomic.Bool
 	mu       sync.Mutex
 	claimed  int             // capture slots consumed (≤ max)
 	seen     map[uint64]bool // bundled behavior fingerprints (dedupe)
@@ -736,10 +738,14 @@ type reproSink struct {
 
 // capture triages and bundles one failing trial if a slot is free. fp is
 // the trial's behavior fingerprint (0 without coverage or for harness
-// panics, which have no outcome — those always consume a slot). orig
-// summarizes the campaign trial; pan is non-nil when the trial panicked
-// outside the engine.
-func (s *reproSink) capture(seed int64, fp uint64, kind, msg string, orig replay.OutcomeSummary, pan *panicInfo) {
+// panics, which have no outcome — those always consume a slot). o is the
+// campaign trial's outcome, nil when pan is set: the trial panicked
+// outside the engine. The failure message and outcome summary are built
+// only once a slot is claimed.
+func (s *reproSink) capture(seed int64, fp uint64, kind string, o *engine.Outcome, pan *panicInfo) {
+	if s.full.Load() {
+		return
+	}
 	s.mu.Lock()
 	if s.claimed >= s.max || (s.dedupe && fp != 0 && s.seen[fp]) {
 		s.mu.Unlock()
@@ -752,8 +758,16 @@ func (s *reproSink) capture(seed int64, fp uint64, kind, msg string, orig replay
 		s.seen[fp] = true
 	}
 	s.claimed++
+	s.full.Store(s.claimed >= s.max)
 	s.mu.Unlock()
 
+	var msg string
+	var orig replay.OutcomeSummary
+	if pan != nil {
+		msg = "panic escaped the engine: " + pan.val
+	} else {
+		msg, orig = failureMsg(o, kind), replay.Summarize(o)
+	}
 	fail := s.triage(seed, fp, kind, msg, orig, pan)
 	s.mu.Lock()
 	s.captured = append(s.captured, fail)

@@ -158,7 +158,6 @@ func (d *Detector) check(prior []epoch, priorIsWrite bool, loc memmodel.Loc, cur
 		}
 		d.found = append(d.found, Race{
 			Loc:     loc,
-			LocName: d.locName(loc),
 			Prior:   Access{TID: pe.tid, Event: pe.event, Write: priorIsWrite, NonAtomic: pe.nonAtomic},
 			Current: cur,
 		})
@@ -168,7 +167,9 @@ func (d *Detector) check(prior []epoch, priorIsWrite bool, loc memmodel.Loc, cur
 // OnAccess records an access and returns any new races it exposes. vc is
 // the accessing thread's happens-before clock at the access (its own
 // component already ticked for this event). The returned slice is scratch:
-// it is only valid until the next OnAccess call.
+// it is only valid until the next OnAccess call. Its races carry a LocName
+// only while the stored list has room: naming a location can format a
+// string, and a race past the cap is never reported.
 func (d *Detector) OnAccess(tid memmodel.ThreadID, ev memmodel.EventID, loc memmodel.Loc, write, nonAtomic bool, clock int32, vc vclock.VC) []Race {
 	s := d.state(loc)
 	cur := Access{TID: tid, Event: ev, Write: write, NonAtomic: nonAtomic}
@@ -203,6 +204,10 @@ func (d *Detector) OnAccess(tid memmodel.ThreadID, ev memmodel.EventID, loc memm
 	}
 
 	if len(d.found) > 0 && len(d.races) < d.maxRaces {
+		name := d.locName(loc)
+		for i := range d.found {
+			d.found[i].LocName = name
+		}
 		room := d.maxRaces - len(d.races)
 		if len(d.found) < room {
 			room = len(d.found)

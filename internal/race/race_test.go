@@ -121,3 +121,21 @@ func TestSameThreadNeverRaces(t *testing.T) {
 		t.Fatalf("same-thread race: %v", r)
 	}
 }
+
+// TestLocNameOnlyForKeptRaces: the location is named only for races the
+// detector keeps; once the list is full, conflicting pairs cost no name.
+func TestLocNameOnlyForKeptRaces(t *testing.T) {
+	calls := 0
+	d := NewDetector(func(memmodel.Loc) string { calls++; return "x" }, 2)
+	for i := 0; i < 6; i++ {
+		d.OnAccess(memmodel.ThreadID(i+1), memmodel.EventID(i), 1, true, true, 1, clockFor(i+1, 1))
+	}
+	if calls != 2 {
+		t.Errorf("locName called %d times for 2 kept races", calls)
+	}
+	for _, r := range d.Races() {
+		if r.LocName != "x" {
+			t.Errorf("kept race not named: %+v", r)
+		}
+	}
+}

@@ -199,19 +199,19 @@ type EngineCounters struct {
 	// AddAxiomRecheck around axiom.Graph.Check).
 	AxiomRecheckNs uint64
 	// ExploreRuns counts engine executions performed by the exhaustive
-	// explorer (internal/enumerate): counted leaves plus frontier-expansion
-	// probes and merge-time re-descents. Unlike enumerate.Result.Runs this
-	// is a work counter — it includes executions whose results were
-	// discarded, so its value may vary with the worker count.
+	// explorer (internal/enumerate). Unlike enumerate.Result.Runs this is
+	// a work counter: in a capped parallel exploration it includes the
+	// leaves executed past the limit, whose results were discarded, so
+	// its value may vary with the worker count.
 	ExploreRuns uint64
-	// ExploreSteals counts subtree shards a worker claimed from another
-	// worker's queue (work-stealing in the parallel explorer). Zero for
-	// serial explorations; scheduling-dependent otherwise.
+	// ExploreSteals counts interval splits in the parallel explorer: an
+	// idle worker took over the tail of another worker's leaf interval.
+	// Zero for serial explorations; scheduling-dependent otherwise.
 	ExploreSteals uint64
-	// ExplorePruned counts frontier subtrees the parallel explorer skipped
-	// or discarded without merging: the run limit was already covered by
-	// lexicographically earlier shards, or a drift abort cut the
-	// exploration short. Scheduling-dependent, like ExploreRuns.
+	// ExplorePruned counts intervals the parallel explorer stopped past
+	// the limit: the leaves counted before an interval plus its own
+	// reached the run limit, so the rest of it could not be among the
+	// counted leaves. Scheduling-dependent, like ExploreRuns.
 	ExplorePruned uint64
 
 	// ChangePoints is the capped per-Runner change-point log (see
