@@ -11,19 +11,18 @@
 // owner keeps [node, s) and the idle worker takes [s, hi).
 //
 // An uncapped exploration splits at the shallowest such sibling of any
-// interval, so intervals stay large and splits rare. A capped one keeps
-// every worker at the front of the order, since only the first Limit
-// leaves count: an idle worker takes the first work in leaf order, and
-// splits at the shallowest sibling that, by the shape of the owner's
-// last leaf, leaves the owner at most maxKeep leaves. When that estimate
-// is wrong a worker can end up far past the limit, so a capped walk
+// interval, so intervals stay large and splits rare. A capped one counts
+// only its first Limit leaves: an idle worker takes the first work in
+// leaf order, splitting where the owner keeps at most an eighth of the
+// leaves still to go before the limit (see splitPoint). A limit far above
+// the tree's size thus splits like no limit, and near a binding one the
+// new interval starts close behind its owner. As that estimate can be
+// wrong, once the walks have visited an eighth of the limit a capped walk
 // also gives way after yieldAfter leaves whenever there is work earlier
-// in the order: it ends its interval at the node it was about to run and
-// leaves the rest as an interval for whichever worker reaches it first.
-// A capped exploration also runs no more workers than GOMAXPROCS, since
-// a worker waiting for a CPU stalls the leaf count the others stop by.
-// Each worker owns one pooled engine.Runner, created when it first
-// receives an interval.
+// in the order, leaving the rest of its interval to whichever worker
+// reaches it first. A capped exploration runs at most GOMAXPROCS
+// workers, since a worker waiting for a CPU stalls the leaf count the
+// others stop by. Each worker owns one pooled engine.Runner.
 //
 // Determinism argument. The intervals partition the leaf set and a split
 // inserts the new interval right after its parent, so the interval list
@@ -49,18 +48,17 @@ import (
 	"pctwm/internal/telemetry"
 )
 
-// maxKeep bounds the leaves a capped split leaves to the owner of the
-// split interval, as estimated by splitPoint. The new interval's limit
-// check cannot count those leaves before they are visited, so the bound
-// keeps a new interval from starting far past the limit.
-const maxKeep = 32
+// The capped policy: a split leaves the owner an estimated 1/nearShare
+// of the leaves still to go before the limit, and at least minKeep; once
+// the walks have visited 1/nearShare of the limit, a walk gives way to
+// earlier work after yieldAfter leaves of its own.
+const (
+	minKeep    = 32
+	yieldAfter = 32
+	nearShare  = 8
+)
 
-// yieldAfter is how many leaves a capped walk visits before it gives way
-// to work earlier in the leaf order, bounding what it executes past the
-// limit when a split left more leaves before it than estimated.
-const yieldAfter = 32
-
-// leaf is one recorded leaf of a capped interval.
+// leaf is what a capped interval records of one leaf.
 type leaf[K comparable] struct {
 	key       K
 	truncated bool
@@ -79,9 +77,12 @@ type interval[K comparable] struct {
 	owned            bool // a worker walks it (or has walked it)
 	done             bool
 	// Walk results, owned by the walking worker until the pool drains:
-	// counts when uncapped, every leaf in order when capped.
+	// counts when uncapped; when capped, log holds every leaf in order as
+	// an index into kinds, the distinct leaves (indexed by ids).
 	counts map[K]int
-	leaves []leaf[K]
+	ids    map[leaf[K]]int32
+	kinds  []leaf[K]
+	log    []int32
 	res    spanResult
 }
 
@@ -95,6 +96,7 @@ type pool[K comparable] struct {
 	// settledRuns the leaves of that prefix.
 	settled     *interval[K]
 	settledRuns int
+	visited     int  // leaves visited by every interval
 	walking     int  // intervals being walked
 	idle        int  // workers waiting in take
 	halt        bool // drift: every walk stops
@@ -132,9 +134,9 @@ func (p *pool[K]) take(tel *telemetry.EngineCounters) *interval[K] {
 
 // claim finds work for an idle worker: an interval no worker walks yet,
 // or a split of an in-flight one. A capped exploration takes the first
-// such work in leaf order before the limit, so workers stay at the front
-// of the order; an uncapped one splits at the shallowest split point of
-// any interval, so intervals stay large. Called with mu held.
+// such work in leaf order before the limit; an uncapped one splits at the
+// shallowest split point of any interval, so intervals stay large. Called
+// with mu held.
 func (p *pool[K]) claim(tel *telemetry.EngineCounters) *interval[K] {
 	capped := p.limit > 0
 	var victim *interval[K]
@@ -152,7 +154,7 @@ func (p *pool[K]) claim(tel *telemetry.EngineCounters) *interval[K] {
 			x.owned = true
 			return x
 		}
-		if j := p.splitPoint(x); j >= 0 && (victim == nil || j < best) {
+		if j := p.splitPoint(x, before); j >= 0 && (victim == nil || j < best) {
 			victim, best = x, j
 			if capped {
 				break
@@ -169,9 +171,11 @@ func (p *pool[K]) claim(tel *telemetry.EngineCounters) *interval[K] {
 	return iv
 }
 
-// splitPoint picks where to split x (see splitPoint), or -1. Called with
-// mu held.
-func (p *pool[K]) splitPoint(x *interval[K]) int {
+// splitPoint picks where to split x, whose walk is at least at leaf
+// position pos, or returns -1: capped, the owner keeps an estimated
+// eighth of the leaves still to go before the limit, at least minKeep.
+// Called with mu held.
+func (p *pool[K]) splitPoint(x *interval[K], pos int) int {
 	if x.runs < 2 {
 		// The second leaf of a walk replays a prefix its first recorded:
 		// a program that drifts between runs (say, through state its
@@ -179,10 +183,10 @@ func (p *pool[K]) splitPoint(x *interval[K]) int {
 		// worker could run it at the same time.
 		return -1
 	}
-	if p.limit > 0 {
-		return splitPoint(x.at, x.atWant, x.hi, x.last, maxKeep)
+	if p.limit == 0 {
+		return splitPoint(x.at, x.atWant, x.hi, nil, 0)
 	}
-	return splitPoint(x.at, x.atWant, x.hi, nil, 0)
+	return splitPoint(x.at, x.atWant, x.hi, x.last, max(minKeep, (p.limit-pos)/nearShare))
 }
 
 // splitPoint returns the index j of the sibling at[:j]+[at[j]+1] to
@@ -216,24 +220,31 @@ func splitPoint(at, want, hi, last []int, keep int) int {
 // the node about to run (script, with recorded arities expect), the
 // arities of the last leaf and the leaves visited so far, refreshes the
 // walk's end sp.hi, and reports whether the walk goes on. A capped walk
-// stops once the leaves visited before it plus its own reach the limit,
-// and after yieldAfter leaves it ends at the node about to run whenever
-// there is work earlier in the order, leaving the rest of its interval
-// to whichever worker gets there first.
+// stops once the leaves visited before it plus its own reach the limit;
+// no walk can be there while fewer leaves than the limit are visited in
+// all. Once the walks have visited an eighth of the limit, a capped walk
+// past its first yieldAfter leaves ends at the node about to run
+// whenever there is work earlier in the order, leaving the rest of its
+// interval to whichever worker gets there first.
 func (p *pool[K]) step(iv *interval[K], sp *span, runs int, script, expect, last []int,
 	tel *telemetry.EngineCounters) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.visited += runs - iv.runs
 	iv.runs = runs
 	if p.halt {
 		return false
 	}
-	if p.limit > 0 {
-		before, earlier := p.settledRuns, false
+	// before counts the leaves visited by the intervals before iv: a lower
+	// bound, which only grows, on the position of iv's first leaf.
+	before, earlier := 0, false
+	yield := p.limit > 0 && runs >= yieldAfter && p.visited*nearShare >= p.limit
+	if p.limit > 0 && (yield || p.idle > 0 || p.visited >= p.limit) {
+		before = p.settledRuns
 		for x := p.after(p.settled); x != iv; x = x.next {
 			before += x.runs
-			if runs >= yieldAfter && !earlier && !x.done {
-				earlier = !x.owned || p.splitPoint(x) >= 0
+			if yield && !earlier && !x.done {
+				earlier = !x.owned || p.splitPoint(x, before) >= 0
 			}
 		}
 		if before+runs >= p.limit {
@@ -250,7 +261,7 @@ func (p *pool[K]) step(iv *interval[K], sp *span, runs int, script, expect, last
 	iv.atWant = append(iv.atWant[:0], expect...)
 	iv.last = append(iv.last[:0], last...)
 	sp.hi = iv.hi
-	if p.idle > 0 && p.splitPoint(iv) >= 0 {
+	if p.idle > 0 && p.splitPoint(iv, before+runs) >= 0 {
 		p.wake.Signal()
 	}
 	return true
@@ -261,6 +272,7 @@ func (p *pool[K]) finish(iv *interval[K]) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	iv.done = true
+	p.visited += iv.res.runs - iv.runs
 	iv.runs = iv.res.runs
 	p.halt = p.halt || iv.res.drift != nil
 	for x := p.after(p.settled); x != nil && x.done; x = x.next {
@@ -276,7 +288,9 @@ func (p *pool[K]) finish(iv *interval[K]) {
 func (p *pool[K]) walk(r *engine.Runner, s *scripted, iv *interval[K], tel *telemetry.EngineCounters,
 	ctxOK func(script, expect []int) bool, key func(*engine.Outcome) K) {
 	capped := p.limit > 0
-	if !capped {
+	if capped {
+		iv.ids = make(map[leaf[K]]int32)
+	} else {
 		iv.counts = make(map[K]int)
 	}
 	p.mu.Lock()
@@ -289,7 +303,14 @@ func (p *pool[K]) walk(r *engine.Runner, s *scripted, iv *interval[K], tel *tele
 	}, func(o *engine.Outcome, arity []int) bool {
 		k := key(o)
 		if capped {
-			iv.leaves = append(iv.leaves, leaf[K]{k, o.Aborted})
+			l := leaf[K]{k, o.Aborted}
+			id, ok := iv.ids[l]
+			if !ok {
+				id = int32(len(iv.kinds))
+				iv.ids[l] = id
+				iv.kinds = append(iv.kinds, l)
+			}
+			iv.log = append(iv.log, id)
 		} else {
 			iv.counts[k]++
 		}
@@ -373,7 +394,8 @@ func parallelOutcomes[K comparable](prog *engine.Program, opts engine.Options, c
 		take := iv.res.runs
 		if capped {
 			take = min(take, cfg.Limit-res.Runs)
-			for _, l := range iv.leaves[:take] {
+			for _, id := range iv.log[:take] {
+				l := iv.kinds[id]
 				counts[l.key]++
 				if l.truncated {
 					res.Truncated++
