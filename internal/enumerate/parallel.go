@@ -58,12 +58,6 @@ const (
 	nearShare  = 8
 )
 
-// leaf is what a capped interval records of one leaf.
-type leaf[K comparable] struct {
-	key       K
-	truncated bool
-}
-
 // interval is one worker's stretch of the leaf order.
 type interval[K comparable] struct {
 	span // lo and want are fixed; splits lower hi (pool.mu)
@@ -78,10 +72,11 @@ type interval[K comparable] struct {
 	done             bool
 	// Walk results, owned by the walking worker until the pool drains:
 	// counts when uncapped; when capped, log holds every leaf in order as
-	// an index into kinds, the distinct leaves (indexed by ids).
+	// twice the index of its key in keys (found through ids), plus one
+	// when the leaf was truncated.
 	counts map[K]int
-	ids    map[leaf[K]]int32
-	kinds  []leaf[K]
+	ids    map[K]int32
+	keys   []K
 	log    []int32
 	res    spanResult
 }
@@ -289,7 +284,7 @@ func (p *pool[K]) walk(r *engine.Runner, s *scripted, iv *interval[K], tel *tele
 	ctxOK func(script, expect []int) bool, key func(*engine.Outcome) K) {
 	capped := p.limit > 0
 	if capped {
-		iv.ids = make(map[leaf[K]]int32)
+		iv.ids = make(map[K]int32)
 	} else {
 		iv.counts = make(map[K]int)
 	}
@@ -303,19 +298,22 @@ func (p *pool[K]) walk(r *engine.Runner, s *scripted, iv *interval[K], tel *tele
 	}, func(o *engine.Outcome, arity []int) bool {
 		k := key(o)
 		if capped {
-			l := leaf[K]{k, o.Aborted}
-			id, ok := iv.ids[l]
+			id, ok := iv.ids[k]
 			if !ok {
-				id = int32(len(iv.kinds))
-				iv.ids[l] = id
-				iv.kinds = append(iv.kinds, l)
+				id = int32(len(iv.keys))
+				iv.ids[k] = id
+				iv.keys = append(iv.keys, k)
 			}
-			iv.log = append(iv.log, id)
+			if o.Aborted {
+				iv.log = append(iv.log, 2*id+1)
+			} else {
+				iv.log = append(iv.log, 2*id)
+			}
+			last = append(last[:0], arity...) // splitPoint's estimate
 		} else {
 			iv.counts[k]++
 		}
 		runs++
-		last = append(last[:0], arity...)
 		return true
 	})
 	p.finish(iv)
@@ -394,11 +392,14 @@ func parallelOutcomes[K comparable](prog *engine.Program, opts engine.Options, c
 		take := iv.res.runs
 		if capped {
 			take = min(take, cfg.Limit-res.Runs)
-			for _, id := range iv.log[:take] {
-				l := iv.kinds[id]
-				counts[l.key]++
-				if l.truncated {
-					res.Truncated++
+			n := make([]int, 2*len(iv.keys))
+			for _, e := range iv.log[:take] {
+				n[e]++
+			}
+			for e, c := range n {
+				if c > 0 {
+					counts[iv.keys[e/2]] += c
+					res.Truncated += c * (e % 2)
 				}
 			}
 		} else {
