@@ -65,7 +65,7 @@ type interval[K comparable] struct {
 	next *interval[K] // the following interval in leaf order
 	// at is the node the walk runs next and atWant the recorded arity
 	// along it (nil before the first execution); last holds the arities
-	// of the walk's last leaf.
+	// of the walk's last leaf (capped walks only).
 	at, atWant, last []int
 	runs             int  // leaves visited
 	owned            bool // a worker walks it (or has walked it)
